@@ -28,9 +28,8 @@
 //! every channel, and some selective subset must close each channel at a
 //! strictly lower switch cost than SIMF.
 
-use std::time::Instant;
-
 use ironhide_attacks::{ablation_grid, ablation_subsets, smoke_subsets};
+use ironhide_bench::identical_across_threads;
 use ironhide_core::sweep::{AblationMatrix, ScalePoint, SweepRunner};
 use ironhide_sim::config::MachineConfig;
 use ironhide_sim::fence::TemporalFenceConfig;
@@ -87,37 +86,24 @@ fn main() {
 
     let thread_counts: Vec<usize> =
         threads_override.map_or_else(|| THREAD_COUNTS.to_vec(), |n| vec![n]);
-    let mut result: Option<(AblationMatrix, String, f64)> = None;
-    for &threads in &thread_counts {
-        let runner = SweepRunner::new(config.clone()).with_threads(threads).with_seed(MASTER_SEED);
+    // Byte-identity gate: every thread count must serialise the exact same
+    // matrix.
+    let runs = identical_across_threads(&thread_counts, |threads| {
         eprintln!(
             "ablation: running {label} grid ({} cells, {threads} thread{})...",
             grid.len(),
             if threads == 1 { "" } else { "s" }
         );
-        let start = Instant::now();
-        let matrix = runner.run_ablation(&grid).unwrap_or_else(|e| {
-            eprintln!("ablation sweep failed: {e}");
-            std::process::exit(1);
-        });
-        let wall = start.elapsed().as_secs_f64();
-        let json = matrix.to_json();
-        match &result {
-            // Byte-identity gate: every thread count must serialise the
-            // exact same matrix.
-            Some((_, first_json, _)) if *first_json != json => {
-                eprintln!(
-                    "ablation: NONDETERMINISM — the {threads}-thread matrix differs from the \
-                     {}-thread matrix",
-                    thread_counts[0]
-                );
-                std::process::exit(1);
-            }
-            Some(_) => {}
-            None => result = Some((matrix, json, wall)),
-        }
-    }
-    let (matrix, matrix_json, wall) = result.expect("at least one thread count ran");
+        SweepRunner::new(config.clone())
+            .with_threads(threads)
+            .with_seed(MASTER_SEED)
+            .run_ablation(&grid)
+    })
+    .unwrap_or_else(|e| {
+        eprintln!("ablation: {e}");
+        std::process::exit(1);
+    });
+    let (matrix, matrix_json, wall) = (runs.matrix, runs.json, runs.walls[0].1);
 
     // The differential gate: open under zero flush, closed under SIMF, and
     // closed strictly cheaper than SIMF by some selective subset.

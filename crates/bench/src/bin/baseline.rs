@@ -55,6 +55,7 @@
 
 use std::time::Instant;
 
+use ironhide_bench::{available_parallelism, peak_rss_bytes};
 use ironhide_core::arch::Architecture;
 use ironhide_core::realloc::ReallocPolicy;
 use ironhide_core::sweep::{SweepMatrix, SweepRunner};
@@ -74,11 +75,6 @@ struct ScalePoint {
     wall_s: f64,
     rate: u64,
     sim_cycles: u64,
-}
-
-/// Cores the host actually offers (0 when the platform cannot say).
-fn available_parallelism() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(0)
 }
 
 fn main() {
@@ -239,19 +235,4 @@ fn render_report(
     out.push_str("  ]\n");
     out.push_str("}\n");
     out
-}
-
-/// Peak resident set size of this process in bytes (`VmHWM` from
-/// `/proc/self/status`); 0 where procfs is unavailable.
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
 }

@@ -31,6 +31,7 @@
 
 use std::time::Instant;
 
+use ironhide_bench::{available_parallelism, peak_rss_bytes};
 use ironhide_core::arch::Architecture;
 use ironhide_core::cluster::ClusterManager;
 use ironhide_core::realloc::ReallocPolicy;
@@ -68,10 +69,6 @@ struct StormResult {
 struct StormParams {
     reconfigs: u64,
     warm_pages: u64,
-}
-
-fn available_parallelism() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(0)
 }
 
 fn main() {
@@ -289,19 +286,4 @@ fn render_report(
     out.push_str(&format!("  \"available_parallelism\": {}\n", available_parallelism()));
     out.push_str("}\n");
     out
-}
-
-/// Peak resident set size of this process in bytes (`VmHWM` from
-/// `/proc/self/status`); 0 where procfs is unavailable.
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
 }

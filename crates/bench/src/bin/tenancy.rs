@@ -35,6 +35,7 @@
 use std::time::Instant;
 
 use ironhide_attacks::window::WindowAttack;
+use ironhide_bench::{available_parallelism, identical_across_threads, peak_rss_bytes};
 use ironhide_core::arch::Architecture;
 use ironhide_core::attack::{AttackOutcome, ChannelVerdict};
 use ironhide_core::cluster::{ClusterManager, PurgeOrder};
@@ -69,10 +70,6 @@ const SHAPES: [usize; 6] = [8, 16, 24, 32, 40, 56];
 /// Thread counts the tenancy matrix must be byte-identical across.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-fn available_parallelism() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(0)
-}
-
 fn main() {
     let mut smoke = false;
     let mut out_path = String::from("BENCH_8.json");
@@ -103,30 +100,17 @@ fn main() {
         "tenancy: running {label} grid ({} cells) at {THREAD_COUNTS:?} threads...",
         grid.len()
     );
-    let mut canonical: Option<(TenancyMatrix, String)> = None;
-    let mut sweep_walls = Vec::with_capacity(THREAD_COUNTS.len());
-    for threads in THREAD_COUNTS {
-        let runner = SweepRunner::new(MachineConfig::paper_default())
+    let runs = identical_across_threads(&THREAD_COUNTS, |threads| {
+        SweepRunner::new(MachineConfig::paper_default())
             .with_threads(threads)
-            .with_seed(MASTER_SEED);
-        let start = Instant::now();
-        let matrix = runner.run_tenancy(&grid).unwrap_or_else(|e| {
-            eprintln!("tenancy: sweep failed: {e}");
-            std::process::exit(1);
-        });
-        sweep_walls.push((threads, start.elapsed().as_secs_f64()));
-        let json = matrix.to_json();
-        match &canonical {
-            None => canonical = Some((matrix, json)),
-            Some((_, reference)) => {
-                if *reference != json {
-                    eprintln!("tenancy: DIVERGENCE — matrix at {threads} threads differs from 1");
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
-    let (matrix, _) = canonical.expect("at least one thread count ran");
+            .with_seed(MASTER_SEED)
+            .run_tenancy(&grid)
+    })
+    .unwrap_or_else(|e| {
+        eprintln!("tenancy: {e}");
+        std::process::exit(1);
+    });
+    let (matrix, sweep_walls) = (runs.matrix, runs.walls);
 
     // Gate 2: replay the BENCH_7 smoke storm and pin its stall checksum.
     eprintln!("tenancy: replaying the BENCH_7 smoke storm...");
@@ -356,19 +340,4 @@ fn render_report(
     out.push_str(&format!("  \"available_parallelism\": {}\n", available_parallelism()));
     out.push_str("}\n");
     out
-}
-
-/// Peak resident set size of this process in bytes (`VmHWM` from
-/// `/proc/self/status`); 0 where procfs is unavailable.
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
 }

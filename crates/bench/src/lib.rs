@@ -18,11 +18,17 @@
 //! * `micro_primitives` — Criterion microbenchmarks of the purge and IPC
 //!   primitives backing the per-event costs quoted in Section V.
 //!
-//! This library crate holds the shared sweep/reporting helpers.
+//! This library crate holds the shared sweep/reporting helpers, and the
+//! harness pieces the `BENCH_*.json` binaries share: the N-thread
+//! byte-identity gate, peak RSS and the host's core count.
+
+use std::fmt::Display;
+use std::time::Instant;
 
 use ironhide_core::arch::{ArchParams, Architecture};
 use ironhide_core::realloc::ReallocPolicy;
 use ironhide_core::runner::{CompletionReport, ExperimentRunner};
+use ironhide_core::sweep::{Matrix, MatrixRow};
 use ironhide_sim::config::MachineConfig;
 use ironhide_workloads::app::{AppId, ScaleFactor};
 
@@ -90,6 +96,69 @@ pub fn print_row(cells: &[String]) {
 pub fn print_header(cells: &[&str]) {
     print_row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
     println!("|{}|", cells.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
+}
+
+/// A sweep that serialised byte-identically at every worker count it ran at.
+#[derive(Debug)]
+pub struct IdenticalRuns<C> {
+    /// The first run's matrix.
+    pub matrix: Matrix<C>,
+    /// The first run's JSON serialisation (every run's, by the gate).
+    pub json: String,
+    /// Each run's worker count and wall-clock seconds, in run order.
+    pub walls: Vec<(usize, f64)>,
+}
+
+/// The N-thread byte-identity gate: runs `sweep` once per worker count in
+/// `threads`, in order, and checks every run's JSON against the first's.
+///
+/// # Errors
+///
+/// Describes the first sweep that failed or serialised differently.
+pub fn identical_across_threads<C: MatrixRow, E: Display>(
+    threads: &[usize],
+    sweep: impl Fn(usize) -> Result<Matrix<C>, E>,
+) -> Result<IdenticalRuns<C>, String> {
+    let mut first: Option<(Matrix<C>, String)> = None;
+    let mut walls = Vec::with_capacity(threads.len());
+    for &n in threads {
+        let start = Instant::now();
+        let matrix = sweep(n).map_err(|e| format!("sweep failed at {n} threads: {e}"))?;
+        walls.push((n, start.elapsed().as_secs_f64()));
+        let json = matrix.to_json();
+        match &first {
+            None => first = Some((matrix, json)),
+            Some((_, reference)) if *reference != json => {
+                return Err(format!(
+                    "NONDETERMINISM — the {n}-thread matrix differs from the {}-thread matrix",
+                    threads[0]
+                ));
+            }
+            Some(_) => {}
+        }
+    }
+    let (matrix, json) = first.ok_or("no worker count to run")?;
+    Ok(IdenticalRuns { matrix, json, walls })
+}
+
+/// Peak resident set size of this process in bytes (`VmHWM` from
+/// `/proc/self/status`); 0 where procfs is unavailable.
+pub fn peak_rss_bytes() -> u64 {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
+    };
+    for line in status.lines() {
+        if let Some(rest) = line.strip_prefix("VmHWM:") {
+            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().unwrap_or(0);
+            return kb * 1024;
+        }
+    }
+    0
+}
+
+/// Cores the host actually offers (0 when the platform cannot say).
+pub fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -22,20 +22,21 @@
 //! * [`BackoffPolicy`] bounds the exponential retry a storm charges when it
 //!   re-admits tenants or reconfigures against degraded capacity.
 //! * [`FaultGrid`] / [`FaultMatrix`] sweep {kind × rate × arch} through
-//!   [`SweepRunner`](crate::sweep::SweepRunner) under the same determinism
-//!   contract as every other matrix in the tree.
+//!   [`SweepRunner`] under the same determinism contract as every other
+//!   matrix in the tree.
 
 use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
 
 use ironhide_sim::machine::Machine;
 
 use crate::cluster::ClusterError;
-use crate::sweep::{derive_seed, json_fields, json_string};
+use crate::fnv1a;
+use crate::sweep::{
+    derive_seed, json_fields, json_string, CellError, Matrix, MatrixRow, SweepRunner,
+};
 use crate::tenancy::{AdmissionPolicy, StormConfig, StormReport, TenancyStorm};
 
 // ---------------------------------------------------------------------------
@@ -247,21 +248,9 @@ impl FaultSchedule {
     /// FNV-1a over the config and every drawn event — the number the
     /// seed-purity property test compares across replays.
     pub fn checksum(&self) -> u64 {
-        let mut c: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for byte in v.to_le_bytes() {
-                c ^= byte as u64;
-                c = c.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(self.config.rate_per_mille as u64);
-        eat(self.config.magnitude);
-        eat(self.seed);
-        for ev in &self.events {
-            eat(ev.at_event);
-            eat(ev.target as u64);
-        }
-        c
+        let header = [u64::from(self.config.rate_per_mille), self.config.magnitude, self.seed];
+        let events = self.events.iter().flat_map(|ev| [ev.at_event, ev.target as u64]);
+        fnv1a(header.into_iter().chain(events).flat_map(u64::to_le_bytes))
     }
 }
 
@@ -270,8 +259,8 @@ impl FaultSchedule {
 // ---------------------------------------------------------------------------
 
 /// The {kind × rate × arch} fault campaign grid swept by
-/// [`SweepRunner::run_faults`](crate::sweep::SweepRunner::run_faults), over a
-/// single storm load and admission policy.
+/// [`SweepRunner::run_faults`], over a single storm load and admission
+/// policy.
 #[derive(Debug, Clone)]
 pub struct FaultGrid {
     /// Fault kinds to sweep.
@@ -360,26 +349,8 @@ impl fmt::Display for FaultCellKey {
     }
 }
 
-/// A fault-sweep failure: the failing cell plus the cluster error.
-#[derive(Debug, Clone)]
-pub struct FaultSweepError {
-    /// The cell that failed.
-    pub cell: FaultCellKey,
-    /// Why it failed.
-    pub error: ClusterError,
-}
-
-impl fmt::Display for FaultSweepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "fault cell [{}] failed: {}", self.cell, self.error)
-    }
-}
-
-impl std::error::Error for FaultSweepError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
-}
+/// A fault-sweep failure.
+pub type FaultSweepError = CellError<FaultCellKey, ClusterError>;
 
 /// One completed fault cell.
 #[derive(Debug, Clone)]
@@ -394,15 +365,9 @@ pub struct FaultCell {
     pub report: StormReport,
 }
 
-/// The completed fault campaign, in canonical order, with a deterministic
-/// JSON rendering (same byte-stability contract as the other matrices).
-#[derive(Debug, Clone)]
-pub struct FaultMatrix {
-    /// The master seed the sweep ran with.
-    pub master_seed: u64,
-    /// Completed cells in grid order (kind-major, then rate, then arch).
-    pub cells: Vec<FaultCell>,
-}
+/// The completed fault campaign, in canonical order (kind-major, then rate,
+/// then arch).
+pub type FaultMatrix = Matrix<FaultCell>;
 
 impl FaultMatrix {
     /// Looks up one cell.
@@ -415,69 +380,44 @@ impl FaultMatrix {
     /// FNV-1a over the serialised matrix — the single number CI pins for the
     /// whole campaign.
     pub fn checksum(&self) -> u64 {
-        let mut c: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.to_json().as_bytes() {
-            c ^= *byte as u64;
-            c = c.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        c
-    }
-
-    /// Renders the campaign as deterministic JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024 + self.cells.len() * 640);
-        out.push_str("{\n  \"master_seed\": ");
-        out.push_str(&self.master_seed.to_string());
-        out.push_str(",\n  \"cells\": [");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            fault_cell_json(&mut out, cell);
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        fnv1a(self.to_json().into_bytes())
     }
 }
 
-fn fault_cell_json(out: &mut String, cell: &FaultCell) {
-    let r = &cell.report;
-    json_fields!(out, {
-        "kind": json_string(out, cell.key.kind.label()),
-        "rate_per_mille": out.push_str(&cell.key.rate_per_mille.to_string()),
-        "arch": json_string(out, cell.key.arch.label()),
-        "seed": out.push_str(&cell.seed.to_string()),
-        "scheduled_events": out.push_str(&cell.scheduled_events.to_string()),
-        "arrived": out.push_str(&r.arrived.to_string()),
-        "admitted": out.push_str(&r.admitted.to_string()),
-        "denied": out.push_str(&r.denied.to_string()),
-        "queued": out.push_str(&r.queued.to_string()),
-        "failed_recovered": out.push_str(&r.failed_recovered.to_string()),
-        "conserved": out.push_str(if r.conserves_tenants() { "true" } else { "false" }),
-        "faults_injected": out.push_str(&r.faults_injected.to_string()),
-        "quarantined_tiles": out.push_str(&r.quarantined_tiles.to_string()),
-        "backoff_retries": out.push_str(&r.backoff_retries.to_string()),
-        "dropped_scrubs_detected": out.push_str(&r.dropped_scrubs_detected.to_string()),
-        "dropped_scrubs_recovered": out.push_str(&r.dropped_scrubs_recovered.to_string()),
-        "dropped_scrubs_unrecovered": out.push_str(&r.dropped_scrubs_unrecovered.to_string()),
-        "completion_p50_cycles": out.push_str(&r.slo.completion_percentile(1, 2).to_string()),
-        "completion_p99_cycles": out.push_str(&r.slo.completion_percentile(99, 100).to_string()),
-        "stall_p99_cycles": out.push_str(&r.slo.stall_percentile(99, 100).to_string()),
-        "total_stall_cycles": out.push_str(&r.slo.total_stall_cycles().to_string()),
-        "reconfigurations": out.push_str(&r.reconfigurations.to_string()),
-        "pages_rehomed": out.push_str(&r.pages_rehomed.to_string()),
-        "final_cycle": out.push_str(&r.final_cycle.to_string()),
-        "slo_checksum": out.push_str(&r.slo.checksum().to_string()),
-    });
+impl MatrixRow for FaultCell {
+    fn write_json(&self, out: &mut String) {
+        let r = &self.report;
+        json_fields!(out, {
+            "kind": json_string(out, self.key.kind.label()),
+            "rate_per_mille": out.push_str(&self.key.rate_per_mille.to_string()),
+            "arch": json_string(out, self.key.arch.label()),
+            "seed": out.push_str(&self.seed.to_string()),
+            "scheduled_events": out.push_str(&self.scheduled_events.to_string()),
+            "arrived": out.push_str(&r.arrived.to_string()),
+            "admitted": out.push_str(&r.admitted.to_string()),
+            "denied": out.push_str(&r.denied.to_string()),
+            "queued": out.push_str(&r.queued.to_string()),
+            "failed_recovered": out.push_str(&r.failed_recovered.to_string()),
+            "conserved": out.push_str(if r.conserves_tenants() { "true" } else { "false" }),
+            "faults_injected": out.push_str(&r.faults_injected.to_string()),
+            "quarantined_tiles": out.push_str(&r.quarantined_tiles.to_string()),
+            "backoff_retries": out.push_str(&r.backoff_retries.to_string()),
+            "dropped_scrubs_detected": out.push_str(&r.dropped_scrubs_detected.to_string()),
+            "dropped_scrubs_recovered": out.push_str(&r.dropped_scrubs_recovered.to_string()),
+            "dropped_scrubs_unrecovered": out.push_str(&r.dropped_scrubs_unrecovered.to_string()),
+            "completion_p50_cycles": out.push_str(&r.slo.completion_percentile(1, 2).to_string()),
+            "completion_p99_cycles": out.push_str(&r.slo.completion_percentile(99, 100).to_string()),
+            "stall_p99_cycles": out.push_str(&r.slo.stall_percentile(99, 100).to_string()),
+            "total_stall_cycles": out.push_str(&r.slo.total_stall_cycles().to_string()),
+            "reconfigurations": out.push_str(&r.reconfigurations.to_string()),
+            "pages_rehomed": out.push_str(&r.pages_rehomed.to_string()),
+            "final_cycle": out.push_str(&r.final_cycle.to_string()),
+            "slo_checksum": out.push_str(&r.slo.checksum().to_string()),
+        });
+    }
 }
 
-impl crate::sweep::SweepRunner {
-    /// The seed a given fault cell would run with.
-    pub fn fault_cell_seed(&self, key: &FaultCellKey) -> u64 {
-        derive_seed(self.master_seed(), &key.to_string())
-    }
-
+impl SweepRunner {
     /// Runs every cell of the fault `grid` in parallel and collects the
     /// reports in grid order, under the same determinism contract as every
     /// other sweep: the serialised [`FaultMatrix`] is byte-identical at any
@@ -489,58 +429,27 @@ impl crate::sweep::SweepRunner {
     /// Returns the first (in grid order) [`FaultSweepError`] if any cell
     /// fails; partial results are discarded.
     pub fn run_faults(&self, grid: &FaultGrid) -> Result<FaultMatrix, FaultSweepError> {
-        let cells = grid.keys();
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(self.threads())
-            .build()
-            .expect("fault thread pool builds");
-        let machine_pools = crate::sweep::WorkerPools::new(pool.current_num_threads());
         let horizon = grid.storm.tenants as u64;
         let targets = self.machine_config().cores();
-        let results: Vec<Result<FaultCell, FaultSweepError>> = pool.install(|| {
-            cells
-                .par_iter()
-                .map(|key| {
-                    let seed = self.fault_cell_seed(key);
-                    let config = FaultConfig::for_kind(key.kind, key.rate_per_mille);
-                    // The schedule gets its own derived seed so fault draws
-                    // never alias the arrival stream's.
-                    let schedule = FaultSchedule::draw(
-                        config,
-                        derive_seed(seed, "fault-schedule"),
-                        horizon,
-                        targets,
-                    );
-                    let mut machine = machine_pools
-                        .take()
-                        .unwrap_or_else(|| Machine::new(self.machine_config().clone()));
-                    let storm =
-                        TenancyStorm::with_faults(&grid.storm, grid.policy, &schedule, key.arch);
-                    let result = storm.run(&mut machine, seed);
-                    machine_pools.give(machine);
-                    let report =
-                        result.map_err(|error| FaultSweepError { cell: key.clone(), error })?;
-                    Ok(FaultCell {
-                        key: key.clone(),
-                        seed,
-                        scheduled_events: schedule.events().len() as u64,
-                        report,
-                    })
-                })
-                .collect()
-        });
-        let mut out = Vec::with_capacity(results.len());
-        for result in results {
-            out.push(result?);
-        }
-        Ok(FaultMatrix { master_seed: self.master_seed(), cells: out })
+        let cells = grid.keys().into_iter().map(|key| (key, ())).collect();
+        self.run_grid(cells, |key, _, seed, slot| {
+            let config = FaultConfig::for_kind(key.kind, key.rate_per_mille);
+            // The schedule gets its own derived seed so fault draws never
+            // alias the arrival stream's.
+            let schedule =
+                FaultSchedule::draw(config, derive_seed(seed, "fault-schedule"), horizon, targets);
+            let machine = slot.get_or_insert_with(|| Machine::new(self.machine_config().clone()));
+            let storm = TenancyStorm::with_faults(&grid.storm, grid.policy, &schedule, key.arch);
+            let report = storm.run(machine, seed)?;
+            let scheduled_events = schedule.events().len() as u64;
+            Ok(FaultCell { key: key.clone(), seed, scheduled_events, report })
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::SweepRunner;
     use crate::tenancy::TenantProfile;
     use ironhide_sim::config::MachineConfig;
 
@@ -694,7 +603,7 @@ mod tests {
     fn fault_seeds_are_namespaced_per_cell() {
         let runner = SweepRunner::new(MachineConfig::paper_default()).with_seed(7);
         let keys = test_grid().keys();
-        let seeds: Vec<u64> = keys.iter().map(|k| runner.fault_cell_seed(k)).collect();
+        let seeds: Vec<u64> = keys.iter().map(|k| runner.cell_seed(k)).collect();
         let mut unique = seeds.clone();
         unique.sort_unstable();
         unique.dedup();

@@ -98,12 +98,7 @@ impl SecureKernel {
     /// chain in a simulation, and only equality of measurements matters for
     /// the execution model.
     pub fn measure(image: &[u8]) -> Measurement {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in image {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        Measurement(h)
+        Measurement(crate::fnv1a(image.iter().copied()))
     }
 
     /// Signs an image with the enclave author's key. The simulated signature

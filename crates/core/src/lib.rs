@@ -95,11 +95,20 @@ pub use speccheck::{SpecCheckOutcome, SpeculativeAccessCheck};
 pub use sweep::{
     AblationCell, AblationCellKey, AblationGrid, AblationMatrix, AblationSpec, AblationSweepError,
     AppSpec, AttackCell, AttackCellKey, AttackGrid, AttackMatrix, AttackSpec, AttackSweepError,
-    CellKey, Fig6Row, Fig7Row, Fig8Row, ScalePoint, SweepCell, SweepError, SweepGrid, SweepMatrix,
-    SweepRunner,
+    CellError, CellKey, Fig6Row, Fig7Row, Fig8Row, Matrix, MatrixRow, ScalePoint, SweepCell,
+    SweepError, SweepGrid, SweepMatrix, SweepRunner,
 };
 pub use tenancy::{
     AdmissionPolicy, Arrival, ArrivalGenerator, LoadPoint, SloAccount, StormConfig, StormReport,
     TenancyCell, TenancyCellKey, TenancyGrid, TenancyMatrix, TenancyStorm, TenancySweepError,
     TenantProfile,
 };
+
+/// 64-bit FNV-1a over `bytes`: the one hash behind cell-seed derivation,
+/// attestation measurements and the matrix, SLO and fault-schedule
+/// checksums.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}

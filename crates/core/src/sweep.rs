@@ -22,6 +22,13 @@
 //! sweep runs [`AppSpec`]s — a label plus a thread-safe factory closure — so
 //! `ironhide-workloads` (or any downstream user) can feed its own
 //! applications in without `ironhide-core` depending on them.
+//!
+//! Every grid family — performance, covert-channel attacks, the
+//! temporal-fence ablation, tenancy and fault campaigns — runs through one
+//! engine, `SweepRunner::run_grid`, and completes into one generic
+//! [`Matrix`]. A family supplies only its cell keys and a closure that runs
+//! one cell; the engine owns the thread pool, machine recycling, seeds and
+//! ordering, so the determinism contract is enforced in exactly one place.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -36,6 +43,7 @@ use ironhide_sim::machine::Machine;
 use crate::app::InteractiveApp;
 use crate::arch::{ArchParams, Architecture};
 use crate::attack::AttackOutcome;
+use crate::fnv1a;
 use crate::realloc::ReallocPolicy;
 use crate::runner::{CompletionReport, ExperimentRunner, RunError};
 
@@ -169,13 +177,13 @@ impl SweepGrid {
     /// Expands the grid into cell keys, in the canonical (scale-major, then
     /// app, architecture, policy) order the matrix stores them in.
     pub fn keys(&self) -> Vec<CellKey> {
-        self.expanded().into_iter().map(|(key, _, _)| key).collect()
+        self.expanded().into_iter().map(|(key, _)| key).collect()
     }
 
     /// The single source of truth for cell ordering: every consumer (the
     /// runner, `keys()`) derives its cells from this expansion, so the
     /// canonical order and the per-cell seeds can never drift apart.
-    fn expanded(&self) -> Vec<(CellKey, &AppSpec, &ScalePoint)> {
+    fn expanded(&self) -> Vec<(CellKey, (&AppSpec, &ScalePoint))> {
         let mut cells = Vec::with_capacity(self.len());
         for scale in &self.scales {
             for app in &self.apps {
@@ -187,7 +195,7 @@ impl SweepGrid {
                             policy: *policy,
                             scale: scale.label.clone(),
                         };
-                        cells.push((key, app, scale));
+                        cells.push((key, (app, scale)));
                     }
                 }
             }
@@ -216,43 +224,98 @@ impl fmt::Display for CellKey {
 }
 
 // ---------------------------------------------------------------------------
-// Errors
+// The sweep engine
 // ---------------------------------------------------------------------------
 
-/// A sweep failure: the failing cell plus the underlying run error.
+/// A sweep failure: the first failing cell in grid order, plus its error.
 #[derive(Debug, Clone)]
-pub struct SweepError {
+pub struct CellError<K, E> {
     /// The cell that failed.
-    pub cell: CellKey,
+    pub cell: K,
     /// Why it failed.
-    pub error: RunError,
+    pub error: E,
 }
 
-impl fmt::Display for SweepError {
+impl<K: fmt::Display, E: fmt::Display> fmt::Display for CellError<K, E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "sweep cell [{}] failed: {}", self.cell, self.error)
     }
 }
 
-impl std::error::Error for SweepError {
+impl<K, E> std::error::Error for CellError<K, E>
+where
+    K: fmt::Debug + fmt::Display,
+    E: std::error::Error + 'static,
+{
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         Some(&self.error)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Runner
-// ---------------------------------------------------------------------------
+/// A performance-sweep failure.
+pub type SweepError = CellError<CellKey, RunError>;
+
+/// One completed cell's JSON rendering, used by [`Matrix::to_json`].
+pub trait MatrixRow {
+    /// Appends the cell as one JSON object to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+/// A completed grid: every cell in canonical grid order plus the master seed
+/// the sweep ran with. Each grid family adds its own queries on its cell
+/// type (see [`SweepMatrix`], [`AttackMatrix`], [`AblationMatrix`]).
+#[derive(Debug, Clone)]
+pub struct Matrix<C> {
+    /// The master seed the sweep ran with.
+    pub master_seed: u64,
+    /// Completed cells in grid order (the order the grid's `keys()` lists).
+    pub cells: Vec<C>,
+}
+
+impl<C> Matrix<C> {
+    /// The distinct values `f` takes over the cells, in grid order.
+    pub(crate) fn distinct<T: PartialEq>(&self, f: impl Fn(&C) -> T) -> Vec<T> {
+        let mut values = Vec::new();
+        for cell in &self.cells {
+            let value = f(cell);
+            if !values.contains(&value) {
+                values.push(value);
+            }
+        }
+        values
+    }
+}
+
+impl<C: MatrixRow> Matrix<C> {
+    /// Renders the matrix as deterministic JSON: same cells (in the same
+    /// order) and same master seed produce byte-identical output.
+    pub fn to_json(&self) -> String {
+        let mut out = String::with_capacity(2048 + self.cells.len() * 1024);
+        out.push_str("{\n  \"master_seed\": ");
+        out.push_str(&self.master_seed.to_string());
+        out.push_str(",\n  \"cells\": [");
+        for (i, cell) in self.cells.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("\n    ");
+            cell.write_json(&mut out);
+        }
+        out.push_str("\n  ]\n}\n");
+        out
+    }
+}
 
 /// Executes sweep grids in parallel, deterministically.
 ///
 /// # Determinism contract
 ///
 /// Two runs with the same grid, machine configuration, parameters and master
-/// seed produce [`SweepMatrix`]es whose [`SweepMatrix::to_json`] renderings
-/// are byte-identical, **regardless of the thread count** — each cell's seed
-/// is a pure function of the master seed and the cell key, and results are
-/// collected in grid order.
+/// seed produce [`Matrix`]es whose [`Matrix::to_json`] renderings are
+/// byte-identical, **regardless of the thread count** — each cell's seed is
+/// a pure function of the master seed and the cell key, and results are
+/// collected in grid order. Every grid family inherits this from the one
+/// engine they all run through.
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
     machine: MachineConfig,
@@ -285,24 +348,63 @@ impl SweepRunner {
         self
     }
 
-    /// The seed a given cell would run with.
-    pub fn cell_seed(&self, key: &CellKey) -> u64 {
-        derive_cell_seed(self.master_seed, key)
-    }
-
-    /// The master seed (for sibling grid runners in this crate).
-    pub(crate) fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
-    /// The configured worker thread count (for sibling grid runners).
-    pub(crate) fn threads(&self) -> usize {
-        self.threads
+    /// The seed the cell with `key` runs with, in any grid family: a pure
+    /// function of the master seed and the rendered key. Every family but
+    /// the performance grid prefixes its keys with its own namespace
+    /// (`attack |`, `ablation |`, `tenancy |`, `faults |`), so equal labels
+    /// in different grids never share a seed.
+    pub fn cell_seed<K: fmt::Display>(&self, key: &K) -> u64 {
+        derive_seed(self.master_seed, &key.to_string())
     }
 
     /// The machine configuration cells simulate (for sibling grid runners).
     pub(crate) fn machine_config(&self) -> &MachineConfig {
         &self.machine
+    }
+
+    /// The one sweep engine: runs `run(key, input, seed, slot)` for every
+    /// cell in parallel and collects the results in grid order.
+    ///
+    /// * `seed` is [`SweepRunner::cell_seed`] of the key — never a function
+    ///   of thread identity or execution order.
+    /// * `slot` holds a machine recycled from an earlier cell on the same
+    ///   worker, or `None`. Whatever the closure leaves in it goes back to
+    ///   that worker's pool (see [`WorkerPools`]).
+    /// * Results are collected in grid order, so the matrix is
+    ///   byte-identical at any thread count and the error returned is the
+    ///   first failing cell's in grid order; partial results are discarded.
+    pub(crate) fn run_grid<K, X, C, E>(
+        &self,
+        cells: Vec<(K, X)>,
+        run: impl Fn(&K, &X, u64, &mut Option<Machine>) -> Result<C, E> + Sync,
+    ) -> Result<Matrix<C>, CellError<K, E>>
+    where
+        K: fmt::Display + Clone + Send + Sync,
+        X: Sync,
+        C: Send,
+        E: Send,
+    {
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(self.threads)
+            .build()
+            .expect("sweep thread pool builds");
+        let machine_pools = WorkerPools::new(pool.current_num_threads());
+        let results: Vec<Result<C, CellError<K, E>>> = pool.install(|| {
+            cells
+                .par_iter()
+                .map(|(key, input)| {
+                    let seed = self.cell_seed(key);
+                    let mut slot = machine_pools.take();
+                    let result = run(key, input, seed, &mut slot);
+                    if let Some(machine) = slot {
+                        machine_pools.give(machine);
+                    }
+                    result.map_err(|error| CellError { cell: key.clone(), error })
+                })
+                .collect()
+        });
+        let cells = results.into_iter().collect::<Result<_, _>>()?;
+        Ok(Matrix { master_seed: self.master_seed, cells })
     }
 
     /// Runs every cell of `grid` and collects the reports in grid order.
@@ -312,45 +414,16 @@ impl SweepRunner {
     /// Returns the first (in grid order) [`SweepError`] if any cell fails;
     /// partial results are discarded.
     pub fn run(&self, grid: &SweepGrid) -> Result<SweepMatrix, SweepError> {
-        // The canonical expansion is shared with SweepGrid::keys(), so the
-        // parallel section only touches immutable shared state and the cell
-        // order always matches the documented one.
-        let cells = grid.expanded();
-
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(self.threads)
-            .build()
-            .expect("sweep thread pool builds");
-        // Cells recycle simulated machines through per-worker sharded pools
-        // (see WorkerPools): each worker pops from and pushes to its own
-        // shard only, so the recycling hot path shares no mutable state
-        // across workers.
-        let machine_pools = WorkerPools::new(pool.current_num_threads());
-        let results: Vec<Result<SweepCell, SweepError>> = pool
-            .install(|| cells.par_iter().map(|cell| self.run_cell(cell, &machine_pools)).collect());
-
-        let mut out = Vec::with_capacity(results.len());
-        for result in results {
-            out.push(result?);
-        }
-        Ok(SweepMatrix { master_seed: self.master_seed, cells: out })
-    }
-
-    fn run_cell(
-        &self,
-        (key, app, scale): &(CellKey, &AppSpec, &ScalePoint),
-        machine_pools: &WorkerPools,
-    ) -> Result<SweepCell, SweepError> {
-        let seed = derive_cell_seed(self.master_seed, key);
-        let mut instance = app.instantiate(scale, seed);
-        let runner = ExperimentRunner::new(self.machine.clone())
-            .with_params(self.params)
-            .with_realloc(key.policy);
-        let (report, machine) = runner
-            .run_recycled(key.arch, instance.as_mut(), machine_pools.take())
-            .map_err(|error| SweepError { cell: key.clone(), error })?;
-        machine_pools.give(machine);
-        Ok(SweepCell { key: key.clone(), seed, report })
+        self.run_grid(grid.expanded(), |key, (app, scale), seed, slot| {
+            let mut instance = app.instantiate(scale, seed);
+            let runner = ExperimentRunner::new(self.machine.clone())
+                .with_params(self.params)
+                .with_realloc(key.policy);
+            let (report, machine) =
+                runner.run_recycled(key.arch, instance.as_mut(), slot.take())?;
+            *slot = Some(machine);
+            Ok(SweepCell { key: key.clone(), seed, report })
+        })
     }
 }
 
@@ -369,16 +442,16 @@ impl SweepRunner {
 /// machine is byte-identical to a fresh one — so determinism is unaffected
 /// by which worker ran which cell.
 ///
-/// The pools live for one `run`/`run_attacks` call, which also guarantees
-/// every pooled machine was built from that call's `MachineConfig` (the
-/// contract `run_recycled` requires).
-pub(crate) struct WorkerPools {
+/// The pools live for one `run_grid` call, which also guarantees every
+/// pooled machine was built from that call's `MachineConfig` (the contract
+/// `run_recycled` requires).
+struct WorkerPools {
     shards: Vec<Mutex<Vec<Machine>>>,
 }
 
 impl WorkerPools {
     /// Creates one shard per worker (at least one, for the serial path).
-    pub(crate) fn new(workers: usize) -> Self {
+    fn new(workers: usize) -> Self {
         WorkerPools { shards: (0..workers.max(1)).map(|_| Mutex::new(Vec::new())).collect() }
     }
 
@@ -392,34 +465,23 @@ impl WorkerPools {
     }
 
     /// Pops a recycled machine from the calling worker's shard.
-    pub(crate) fn take(&self) -> Option<Machine> {
+    fn take(&self) -> Option<Machine> {
         self.shard().lock().ok().and_then(|mut shard| shard.pop())
     }
 
     /// Returns a machine to the calling worker's shard for the next cell.
-    pub(crate) fn give(&self, machine: Machine) {
+    fn give(&self, machine: Machine) {
         if let Ok(mut shard) = self.shard().lock() {
             shard.push(machine);
         }
     }
 }
 
-/// Derives a cell's seed from the master seed and the cell key only — thread
-/// identity and execution order never enter the computation.
-fn derive_cell_seed(master_seed: u64, key: &CellKey) -> u64 {
-    derive_seed(master_seed, &key.to_string())
-}
-
-/// Seed derivation shared by the performance, attack and tenancy grids:
-/// FNV-1a over the rendered key, then a SplitMix64 finalisation so related
-/// keys map to well-separated seeds.
+/// Seed derivation shared by every grid family: FNV-1a over the rendered
+/// key, then a SplitMix64 finalisation so related keys map to
+/// well-separated seeds.
 pub(crate) fn derive_seed(master_seed: u64, key: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in key.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    let mut z = hash ^ master_seed.rotate_left(32);
+    let mut z = fnv1a(key.bytes()) ^ master_seed.rotate_left(32);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -554,12 +616,12 @@ impl AttackGrid {
     /// Expands the grid into cell keys, in the canonical (scale-major, then
     /// channel, then architecture) order the matrix stores them in.
     pub fn keys(&self) -> Vec<AttackCellKey> {
-        self.expanded().into_iter().map(|(key, _, _)| key).collect()
+        self.expanded().into_iter().map(|(key, _)| key).collect()
     }
 
     /// The single source of truth for attack-cell ordering (mirrors
     /// [`SweepGrid::expanded`]).
-    fn expanded(&self) -> Vec<(AttackCellKey, &AttackSpec, &ScalePoint)> {
+    fn expanded(&self) -> Vec<(AttackCellKey, (&AttackSpec, &ScalePoint))> {
         let mut cells = Vec::with_capacity(self.len());
         for scale in &self.scales {
             for channel in &self.channels {
@@ -569,7 +631,7 @@ impl AttackGrid {
                         arch: *arch,
                         scale: scale.label().to_string(),
                     };
-                    cells.push((key, channel, scale));
+                    cells.push((key, (channel, scale)));
                 }
             }
         }
@@ -596,26 +658,8 @@ impl fmt::Display for AttackCellKey {
     }
 }
 
-/// An attack-sweep failure: the failing cell plus the underlying run error.
-#[derive(Debug, Clone)]
-pub struct AttackSweepError {
-    /// The cell that failed.
-    pub cell: AttackCellKey,
-    /// Why it failed.
-    pub error: RunError,
-}
-
-impl fmt::Display for AttackSweepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "attack cell [{}] failed: {}", self.cell, self.error)
-    }
-}
-
-impl std::error::Error for AttackSweepError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
-}
+/// An attack-sweep failure.
+pub type AttackSweepError = CellError<AttackCellKey, RunError>;
 
 /// One completed attack cell.
 #[derive(Debug, Clone)]
@@ -628,16 +672,9 @@ pub struct AttackCell {
     pub outcome: AttackOutcome,
 }
 
-/// The completed attack grid, in canonical order, with differential-security
-/// queries and a deterministic JSON rendering.
-#[derive(Debug, Clone)]
-pub struct AttackMatrix {
-    /// The master seed the sweep ran with.
-    pub master_seed: u64,
-    /// Completed cells in grid order (scale-major, then channel,
-    /// architecture).
-    pub cells: Vec<AttackCell>,
-}
+/// The completed attack grid, in canonical order (scale-major, then channel,
+/// architecture), with differential-security queries.
+pub type AttackMatrix = Matrix<AttackCell>;
 
 impl AttackMatrix {
     /// BER below which a channel must decode on the insecure baseline for the
@@ -651,18 +688,6 @@ impl AttackMatrix {
             .find(|c| c.key.channel == channel && c.key.arch == arch && c.key.scale == scale)
     }
 
-    /// All distinct (channel, scale) pairs, in grid order.
-    fn channel_scale_pairs(&self) -> Vec<(String, String)> {
-        let mut pairs: Vec<(String, String)> = Vec::new();
-        for cell in &self.cells {
-            let pair = (cell.key.channel.clone(), cell.key.scale.clone());
-            if !pairs.contains(&pair) {
-                pairs.push(pair);
-            }
-        }
-        pairs
-    }
-
     /// Checks the differential security claim over every (channel, scale)
     /// pair for which both the insecure baseline and IRONHIDE are present:
     /// the channel must demonstrably *work* on the shared baseline (BER below
@@ -672,7 +697,7 @@ impl AttackMatrix {
     /// (empty = the claim holds).
     pub fn differential_violations(&self) -> Vec<String> {
         let mut violations = Vec::new();
-        for (channel, scale) in self.channel_scale_pairs() {
+        for (channel, scale) in self.distinct(|c| (c.key.channel.clone(), c.key.scale.clone())) {
             let (Some(open), Some(closed)) = (
                 self.get(&channel, Architecture::Insecure, &scale),
                 self.get(&channel, Architecture::Ironhide, &scale),
@@ -701,32 +726,9 @@ impl AttackMatrix {
         }
         violations
     }
-
-    /// Renders the matrix as deterministic JSON (same contract as
-    /// [`SweepMatrix::to_json`]).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048 + self.cells.len() * 512);
-        out.push_str("{\n  \"master_seed\": ");
-        out.push_str(&self.master_seed.to_string());
-        out.push_str(",\n  \"cells\": [");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            attack_cell_json(&mut out, cell);
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
 }
 
 impl SweepRunner {
-    /// The seed a given attack cell would run with.
-    pub fn attack_cell_seed(&self, key: &AttackCellKey) -> u64 {
-        derive_seed(self.master_seed, &key.to_string())
-    }
-
     /// Runs every cell of the attack `grid` in parallel and collects the
     /// outcomes in grid order, under the same determinism contract as
     /// [`SweepRunner::run`]: the serialised [`AttackMatrix`] is byte-identical
@@ -737,39 +739,10 @@ impl SweepRunner {
     /// Returns the first (in grid order) [`AttackSweepError`] if any cell
     /// fails; partial results are discarded.
     pub fn run_attacks(&self, grid: &AttackGrid) -> Result<AttackMatrix, AttackSweepError> {
-        let cells = grid.expanded();
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(self.threads)
-            .build()
-            .expect("attack thread pool builds");
-        // Attack cells recycle simulated machines through the same
-        // per-worker sharded pools as the performance sweep's cells (pop
-        // from the worker's own shard, let the factory reset-pristine and
-        // run it, push it back): no shard is ever contended, and recycling
-        // cannot affect results — a recycled machine is byte-identical to a
-        // fresh one, coherence directories included.
-        let machine_pools = WorkerPools::new(pool.current_num_threads());
-        let results: Vec<Result<AttackCell, AttackSweepError>> = pool.install(|| {
-            cells
-                .par_iter()
-                .map(|(key, channel, scale)| {
-                    let seed = self.attack_cell_seed(key);
-                    let mut slot = machine_pools.take();
-                    let result = channel.execute(&self.machine, key.arch, scale, seed, &mut slot);
-                    if let Some(m) = slot {
-                        machine_pools.give(m);
-                    }
-                    let outcome =
-                        result.map_err(|error| AttackSweepError { cell: key.clone(), error })?;
-                    Ok(AttackCell { key: key.clone(), seed, outcome })
-                })
-                .collect()
-        });
-        let mut out = Vec::with_capacity(results.len());
-        for result in results {
-            out.push(result?);
-        }
-        Ok(AttackMatrix { master_seed: self.master_seed, cells: out })
+        self.run_grid(grid.expanded(), |key, (channel, scale), seed, slot| {
+            let outcome = channel.execute(&self.machine, key.arch, scale, seed, slot)?;
+            Ok(AttackCell { key: key.clone(), seed, outcome })
+        })
     }
 }
 
@@ -865,12 +838,12 @@ impl AblationGrid {
     /// Expands the grid into cell keys, in the canonical (scale-major, then
     /// subset, then channel) order the matrix stores them in.
     pub fn keys(&self) -> Vec<AblationCellKey> {
-        self.expanded().into_iter().map(|(key, _, _, _)| key).collect()
+        self.expanded().into_iter().map(|(key, _)| key).collect()
     }
 
     /// The single source of truth for ablation-cell ordering (mirrors
     /// [`AttackGrid::expanded`]).
-    fn expanded(&self) -> Vec<(AblationCellKey, &AblationSpec, &AttackSpec, &ScalePoint)> {
+    fn expanded(&self) -> Vec<(AblationCellKey, (&AblationSpec, &AttackSpec, &ScalePoint))> {
         let mut cells = Vec::with_capacity(self.len());
         for scale in &self.scales {
             for subset in &self.subsets {
@@ -880,7 +853,7 @@ impl AblationGrid {
                         channel: channel.label.clone(),
                         scale: scale.label().to_string(),
                     };
-                    cells.push((key, subset, channel, scale));
+                    cells.push((key, (subset, channel, scale)));
                 }
             }
         }
@@ -908,26 +881,8 @@ impl fmt::Display for AblationCellKey {
     }
 }
 
-/// An ablation-sweep failure: the failing cell plus the underlying run error.
-#[derive(Debug, Clone)]
-pub struct AblationSweepError {
-    /// The cell that failed.
-    pub cell: AblationCellKey,
-    /// Why it failed.
-    pub error: RunError,
-}
-
-impl fmt::Display for AblationSweepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ablation cell [{}] failed: {}", self.cell, self.error)
-    }
-}
-
-impl std::error::Error for AblationSweepError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
-}
+/// An ablation-sweep failure.
+pub type AblationSweepError = CellError<AblationCellKey, RunError>;
 
 /// One completed ablation cell.
 #[derive(Debug, Clone)]
@@ -944,16 +899,10 @@ pub struct AblationCell {
     pub outcome: AttackOutcome,
 }
 
-/// The completed ablation grid, in canonical order, with closure queries and
-/// a deterministic JSON rendering — the fence.t.s experiment as a matrix:
-/// which flush subset closes which channel at what switch cost.
-#[derive(Debug, Clone)]
-pub struct AblationMatrix {
-    /// The master seed the sweep ran with.
-    pub master_seed: u64,
-    /// Completed cells in grid order (scale-major, then subset, channel).
-    pub cells: Vec<AblationCell>,
-}
+/// The completed ablation grid, in canonical order (scale-major, then
+/// subset, channel), with closure queries — the fence.t.s experiment as a
+/// matrix: which flush subset closes which channel at what switch cost.
+pub type AblationMatrix = Matrix<AblationCell>;
 
 impl AblationMatrix {
     /// Looks up one cell.
@@ -961,18 +910,6 @@ impl AblationMatrix {
         self.cells
             .iter()
             .find(|c| c.key.subset == subset && c.key.channel == channel && c.key.scale == scale)
-    }
-
-    /// All distinct (channel, scale) pairs, in grid order.
-    fn channel_scale_pairs(&self) -> Vec<(String, String)> {
-        let mut pairs: Vec<(String, String)> = Vec::new();
-        for cell in &self.cells {
-            let pair = (cell.key.channel.clone(), cell.key.scale.clone());
-            if !pairs.contains(&pair) {
-                pairs.push(pair);
-            }
-        }
-        pairs
     }
 
     /// The cheapest (lowest switch cost) subset that closes `channel` at
@@ -997,7 +934,7 @@ impl AblationMatrix {
     /// holds).
     pub fn differential_violations(&self, none_label: &str, simf_label: &str) -> Vec<String> {
         let mut violations = Vec::new();
-        for (channel, scale) in self.channel_scale_pairs() {
+        for (channel, scale) in self.distinct(|c| (c.key.channel.clone(), c.key.scale.clone())) {
             let (Some(open), Some(simf)) =
                 (self.get(none_label, &channel, &scale), self.get(simf_label, &channel, &scale))
             else {
@@ -1030,42 +967,14 @@ impl AblationMatrix {
         violations
     }
 
-    /// Renders the matrix as deterministic JSON (same contract as
-    /// [`AttackMatrix::to_json`]).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048 + self.cells.len() * 512);
-        out.push_str("{\n  \"master_seed\": ");
-        out.push_str(&self.master_seed.to_string());
-        out.push_str(",\n  \"cells\": [");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            ablation_cell_json(&mut out, cell);
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
     /// FNV-1a over the serialised matrix — the single number CI pins for the
     /// whole ablation (same scheme as the fault campaign's checksum).
     pub fn checksum(&self) -> u64 {
-        let mut c: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.to_json().as_bytes() {
-            c ^= *byte as u64;
-            c = c.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        c
+        fnv1a(self.to_json().into_bytes())
     }
 }
 
 impl SweepRunner {
-    /// The seed a given ablation cell would run with.
-    pub fn ablation_cell_seed(&self, key: &AblationCellKey) -> u64 {
-        derive_seed(self.master_seed, &key.to_string())
-    }
-
     /// Runs every cell of the ablation `grid` in parallel and collects the
     /// outcomes in grid order, under the same determinism contract as
     /// [`SweepRunner::run_attacks`]: the serialised [`AblationMatrix`] is
@@ -1085,42 +994,14 @@ impl SweepRunner {
     /// Returns the first (in grid order) [`AblationSweepError`] if any cell
     /// fails; partial results are discarded.
     pub fn run_ablation(&self, grid: &AblationGrid) -> Result<AblationMatrix, AblationSweepError> {
-        let cells = grid.expanded();
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(self.threads)
-            .build()
-            .expect("ablation thread pool builds");
-        let machine_pools = WorkerPools::new(pool.current_num_threads());
-        let results: Vec<Result<AblationCell, AblationSweepError>> = pool.install(|| {
-            cells
-                .par_iter()
-                .map(|(key, subset, channel, scale)| {
-                    let seed = self.ablation_cell_seed(key);
-                    let mut cell_config = self.machine.clone();
-                    cell_config.temporal_fence = subset.fence;
-                    let switch_cost = subset.fence.switch_cost(&cell_config);
-                    let mut slot = machine_pools.take();
-                    let result = channel.execute(
-                        &cell_config,
-                        Architecture::TemporalFence,
-                        scale,
-                        seed,
-                        &mut slot,
-                    );
-                    if let Some(m) = slot {
-                        machine_pools.give(m);
-                    }
-                    let outcome =
-                        result.map_err(|error| AblationSweepError { cell: key.clone(), error })?;
-                    Ok(AblationCell { key: key.clone(), seed, switch_cost, outcome })
-                })
-                .collect()
-        });
-        let mut out = Vec::with_capacity(results.len());
-        for result in results {
-            out.push(result?);
-        }
-        Ok(AblationMatrix { master_seed: self.master_seed, cells: out })
+        self.run_grid(grid.expanded(), |key, (subset, channel, scale), seed, slot| {
+            let mut cell_config = self.machine.clone();
+            cell_config.temporal_fence = subset.fence;
+            let switch_cost = subset.fence.switch_cost(&cell_config);
+            let outcome =
+                channel.execute(&cell_config, Architecture::TemporalFence, scale, seed, slot)?;
+            Ok(AblationCell { key: key.clone(), seed, switch_cost, outcome })
+        })
     }
 }
 
@@ -1139,16 +1020,9 @@ pub struct SweepCell {
     pub report: CompletionReport,
 }
 
-/// The completed grid, in canonical order, with figure-oriented queries and a
-/// deterministic JSON rendering.
-#[derive(Debug, Clone)]
-pub struct SweepMatrix {
-    /// The master seed the sweep ran with.
-    pub master_seed: u64,
-    /// Completed cells in grid order (scale-major, then app, architecture,
-    /// policy).
-    pub cells: Vec<SweepCell>,
-}
+/// The completed performance grid, in canonical order (scale-major, then
+/// app, architecture, policy), with figure-oriented queries.
+pub type SweepMatrix = Matrix<SweepCell>;
 
 /// One row of the Figure 6 summary: per-application completion times under
 /// each architecture.
@@ -1232,23 +1106,11 @@ impl SweepMatrix {
         })
     }
 
-    /// All distinct (app, scale) pairs, in grid order.
-    fn app_scale_pairs(&self) -> Vec<(String, String)> {
-        let mut pairs: Vec<(String, String)> = Vec::new();
-        for cell in &self.cells {
-            let pair = (cell.key.app.clone(), cell.key.scale.clone());
-            if !pairs.contains(&pair) {
-                pairs.push(pair);
-            }
-        }
-        pairs
-    }
-
     /// The Figure 6 completion-time summary under `policy`, one row per
     /// (app, scale) pair for which all four architectures are present.
     pub fn fig6(&self, policy: ReallocPolicy) -> Vec<Fig6Row> {
         let mut rows = Vec::new();
-        for (app, scale) in self.app_scale_pairs() {
+        for (app, scale) in self.distinct(|c| (c.key.app.clone(), c.key.scale.clone())) {
             let cell = |arch| self.get(&app, arch, policy, &scale);
             let (Some(insecure), Some(sgx), Some(mi6), Some(ironhide)) = (
                 cell(Architecture::Insecure),
@@ -1298,7 +1160,7 @@ impl SweepMatrix {
     /// scale) pair for which both MI6 and IRONHIDE are present.
     pub fn fig7(&self, policy: ReallocPolicy) -> Vec<Fig7Row> {
         let mut rows = Vec::new();
-        for (app, scale) in self.app_scale_pairs() {
+        for (app, scale) in self.distinct(|c| (c.key.app.clone(), c.key.scale.clone())) {
             let (Some(mi6), Some(ironhide)) = (
                 self.get(&app, Architecture::Mi6, policy, &scale),
                 self.get(&app, Architecture::Ironhide, policy, &scale),
@@ -1339,7 +1201,7 @@ impl SweepMatrix {
     pub fn policy_geomeans(&self, a: ReallocPolicy, b: ReallocPolicy) -> Option<(f64, f64)> {
         let mut times_a = Vec::new();
         let mut times_b = Vec::new();
-        for (app, scale) in self.app_scale_pairs() {
+        for (app, scale) in self.distinct(|c| (c.key.app.clone(), c.key.scale.clone())) {
             let (Some(cell_a), Some(cell_b)) = (
                 self.get(&app, Architecture::Ironhide, a, &scale),
                 self.get(&app, Architecture::Ironhide, b, &scale),
@@ -1354,24 +1216,6 @@ impl SweepMatrix {
         } else {
             Some((geometric_mean(&times_a), geometric_mean(&times_b)))
         }
-    }
-
-    /// Renders the matrix as deterministic JSON: same cells (in the same
-    /// order) and same master seed produce byte-identical output.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096 + self.cells.len() * 1024);
-        out.push_str("{\n  \"master_seed\": ");
-        out.push_str(&self.master_seed.to_string());
-        out.push_str(",\n  \"cells\": [");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            cell_json(&mut out, cell);
-        }
-        out.push_str("\n  ]\n}\n");
-        out
     }
 }
 
@@ -1543,19 +1387,21 @@ pub fn report_json(out: &mut String, r: &CompletionReport) {
     });
 }
 
-fn cell_json(out: &mut String, cell: &SweepCell) {
-    json_fields!(out, {
-        "app": json_string(out, &cell.key.app),
-        "arch": json_string(out, &cell.key.arch.to_string()),
-        "policy": json_string(out, &cell.key.policy.to_string()),
-        "scale": json_string(out, &cell.key.scale),
-        "seed": out.push_str(&cell.seed.to_string()),
-        "report": report_json(out, &cell.report),
-    });
+impl MatrixRow for SweepCell {
+    fn write_json(&self, out: &mut String) {
+        json_fields!(out, {
+            "app": json_string(out, &self.key.app),
+            "arch": json_string(out, &self.key.arch.to_string()),
+            "policy": json_string(out, &self.key.policy.to_string()),
+            "scale": json_string(out, &self.key.scale),
+            "seed": out.push_str(&self.seed.to_string()),
+            "report": report_json(out, &self.report),
+        });
+    }
 }
 
-/// Renders one attack outcome as a JSON object (the attack matrix is
-/// snapshotted whole through [`AttackMatrix::to_json`]).
+/// Renders one attack outcome as a JSON object (the attack and ablation
+/// matrices are snapshotted whole through [`Matrix::to_json`]).
 fn attack_outcome_json(out: &mut String, o: &AttackOutcome) {
     json_fields!(out, {
         "channel": json_string(out, &o.channel),
@@ -1575,31 +1421,36 @@ fn attack_outcome_json(out: &mut String, o: &AttackOutcome) {
     });
 }
 
-fn attack_cell_json(out: &mut String, cell: &AttackCell) {
-    json_fields!(out, {
-        "channel": json_string(out, &cell.key.channel),
-        "arch": json_string(out, &cell.key.arch.to_string()),
-        "scale": json_string(out, &cell.key.scale),
-        "seed": out.push_str(&cell.seed.to_string()),
-        "outcome": attack_outcome_json(out, &cell.outcome),
-    });
+impl MatrixRow for AttackCell {
+    fn write_json(&self, out: &mut String) {
+        json_fields!(out, {
+            "channel": json_string(out, &self.key.channel),
+            "arch": json_string(out, &self.key.arch.to_string()),
+            "scale": json_string(out, &self.key.scale),
+            "seed": out.push_str(&self.seed.to_string()),
+            "outcome": attack_outcome_json(out, &self.outcome),
+        });
+    }
 }
 
-fn ablation_cell_json(out: &mut String, cell: &AblationCell) {
-    json_fields!(out, {
-        "subset": json_string(out, &cell.key.subset),
-        "channel": json_string(out, &cell.key.channel),
-        "scale": json_string(out, &cell.key.scale),
-        "seed": out.push_str(&cell.seed.to_string()),
-        "switch_cost": out.push_str(&cell.switch_cost.to_string()),
-        "outcome": attack_outcome_json(out, &cell.outcome),
-    });
+impl MatrixRow for AblationCell {
+    fn write_json(&self, out: &mut String) {
+        json_fields!(out, {
+            "subset": json_string(out, &self.key.subset),
+            "channel": json_string(out, &self.key.channel),
+            "scale": json_string(out, &self.key.scale),
+            "seed": out.push_str(&self.seed.to_string()),
+            "switch_cost": out.push_str(&self.switch_cost.to_string()),
+            "outcome": attack_outcome_json(out, &self.outcome),
+        });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::app::{Interaction, MemRef, ProcessProfile, RefStream, WorkUnit};
+    use crate::cluster::ClusterError;
     use ironhide_sim::process::SecurityClass;
 
     /// A deterministic synthetic app whose trace is derived from the cell
@@ -1741,31 +1592,43 @@ mod tests {
         assert_eq!(out, "1.25");
     }
 
+    /// A fake 16-bit attack outcome with `errors` bit errors, derived from
+    /// the cell's inputs without simulating a machine.
+    fn fake_outcome(
+        config: &MachineConfig,
+        arch: Architecture,
+        scale: &ScalePoint,
+        seed: u64,
+        errors: u64,
+        secure_cores: usize,
+    ) -> AttackOutcome {
+        let bits = 16u64;
+        let ber = errors as f64 / bits as f64;
+        AttackOutcome {
+            channel: format!("fake-channel@{}", scale.label()),
+            arch,
+            payload_bits: bits,
+            bit_errors: errors,
+            ber,
+            threshold_cycles: 10.0,
+            min_probe_cycles: seed % 100,
+            max_probe_cycles: seed % 100 + 50,
+            capacity_bits_per_slot: 1.0 - ber,
+            capacity_bits_per_second: (1.0 - ber) * config.clock_ghz,
+            payload_cycles: 1000,
+            secure_cores,
+            verdict: crate::attack::ChannelVerdict::from_ber(ber),
+            isolation: crate::isolation::IsolationSummary::default(),
+        }
+    }
+
     fn synthetic_attack_grid() -> AttackGrid {
         // A fake channel whose "outcome" is derived purely from the cell
         // seed, exercising grid ordering, seed plumbing and serialisation
         // without simulating a machine (the recycled-machine slot is
         // legitimately unused).
         let spec = AttackSpec::new("fake-channel", |config, arch, scale, seed, _machine| {
-            let bits = 16u64;
-            let errors = seed % (bits + 1);
-            let ber = errors as f64 / bits as f64;
-            Ok(crate::attack::AttackOutcome {
-                channel: format!("fake-channel@{}", scale.label()),
-                arch,
-                payload_bits: bits,
-                bit_errors: errors,
-                ber,
-                threshold_cycles: 10.0,
-                min_probe_cycles: seed % 100,
-                max_probe_cycles: seed % 100 + 50,
-                capacity_bits_per_slot: 1.0 - ber,
-                capacity_bits_per_second: (1.0 - ber) * config.clock_ghz,
-                payload_cycles: 1000,
-                secure_cores: config.cores() / 2,
-                verdict: crate::attack::ChannelVerdict::from_ber(ber),
-                isolation: crate::isolation::IsolationSummary::default(),
-            })
+            Ok(fake_outcome(config, arch, scale, seed, seed % 17, config.cores() / 2))
         });
         AttackGrid::new()
             .with_channel(spec)
@@ -1789,8 +1652,8 @@ mod tests {
     fn attack_seeds_are_key_pure_and_namespaced() {
         let runner = test_runner();
         let keys = synthetic_attack_grid().keys();
-        assert_eq!(runner.attack_cell_seed(&keys[0]), runner.attack_cell_seed(&keys[0].clone()));
-        assert_ne!(runner.attack_cell_seed(&keys[0]), runner.attack_cell_seed(&keys[1]));
+        assert_eq!(runner.cell_seed(&keys[0]), runner.cell_seed(&keys[0].clone()));
+        assert_ne!(runner.cell_seed(&keys[0]), runner.cell_seed(&keys[1]));
         // The "attack" namespace keeps attack seeds away from an app cell
         // that happens to render similarly.
         let app_key = CellKey {
@@ -1799,7 +1662,7 @@ mod tests {
             policy: ReallocPolicy::Static,
             scale: keys[0].scale.clone(),
         };
-        assert_ne!(runner.attack_cell_seed(&keys[0]), runner.cell_seed(&app_key));
+        assert_ne!(runner.cell_seed(&keys[0]), runner.cell_seed(&app_key));
     }
 
     #[test]
@@ -1812,6 +1675,38 @@ mod tests {
         }
         assert!(baseline.contains("\"verdict\""));
         assert_eq!(baseline.matches('{').count(), baseline.matches('}').count());
+    }
+
+    #[test]
+    fn first_failing_cell_in_grid_order_is_the_error() {
+        // A fake channel failing on the SGX-like and IRONHIDE cells (grid
+        // positions 1 and 3). The earlier failure is slowed down so that,
+        // with several workers, the later one finishes first.
+        let spec =
+            AttackSpec::new("failing-channel", |config, arch, scale, seed, _machine| match arch {
+                Architecture::SgxLike => {
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    Err(RunError::Cluster(ClusterError::Containment("first".into())))
+                }
+                Architecture::Ironhide => {
+                    Err(RunError::Cluster(ClusterError::Containment("second".into())))
+                }
+                _ => Ok(fake_outcome(config, arch, scale, seed, 0, 0)),
+            });
+        let grid = AttackGrid::new()
+            .with_channel(spec)
+            .with_architectures(&Architecture::ALL)
+            .with_scale(ScalePoint::new("Smoke"));
+        let first = grid.keys()[1].clone();
+        assert_eq!(first.arch, Architecture::SgxLike);
+        for threads in [1, 2, 4] {
+            let err = test_runner().with_threads(threads).run_attacks(&grid).unwrap_err();
+            assert_eq!(err.cell, first, "{threads} threads returned a later cell's error");
+            assert!(
+                matches!(&err.error, RunError::Cluster(ClusterError::Containment(m)) if m == "first")
+            );
+            assert!(err.to_string().contains(&first.to_string()), "{err}");
+        }
     }
 
     #[test]
@@ -1833,27 +1728,10 @@ mod tests {
         // cell seed, exercising subset ordering, the per-cell fence override
         // and serialisation without simulating a machine.
         let spec = AttackSpec::new("fake-channel", |config, arch, scale, seed, _machine| {
-            let bits = 16u64;
             // The fake channel "closes" whenever any resource is flushed, so
             // the matrix queries have both verdicts to work with.
-            let errors = if config.temporal_fence.set.is_empty() { seed % 2 } else { bits / 2 };
-            let ber = errors as f64 / bits as f64;
-            Ok(crate::attack::AttackOutcome {
-                channel: format!("fake-channel@{}", scale.label()),
-                arch,
-                payload_bits: bits,
-                bit_errors: errors,
-                ber,
-                threshold_cycles: 10.0,
-                min_probe_cycles: seed % 100,
-                max_probe_cycles: seed % 100 + 50,
-                capacity_bits_per_slot: 1.0 - ber,
-                capacity_bits_per_second: (1.0 - ber) * config.clock_ghz,
-                payload_cycles: 1000,
-                secure_cores: config.cores(),
-                verdict: crate::attack::ChannelVerdict::from_ber(ber),
-                isolation: crate::isolation::IsolationSummary::default(),
-            })
+            let errors = if config.temporal_fence.set.is_empty() { seed % 2 } else { 8 };
+            Ok(fake_outcome(config, arch, scale, seed, errors, config.cores()))
         });
         use ironhide_sim::fence::FlushResource;
         AblationGrid::new()
@@ -1881,11 +1759,8 @@ mod tests {
     fn ablation_seeds_are_key_pure_and_namespaced() {
         let runner = test_runner();
         let keys = synthetic_ablation_grid().keys();
-        assert_eq!(
-            runner.ablation_cell_seed(&keys[0]),
-            runner.ablation_cell_seed(&keys[0].clone())
-        );
-        assert_ne!(runner.ablation_cell_seed(&keys[0]), runner.ablation_cell_seed(&keys[1]));
+        assert_eq!(runner.cell_seed(&keys[0]), runner.cell_seed(&keys[0].clone()));
+        assert_ne!(runner.cell_seed(&keys[0]), runner.cell_seed(&keys[1]));
         // The "ablation" namespace keeps these seeds away from an attack cell
         // that happens to render similarly.
         let attack_key = AttackCellKey {
@@ -1893,7 +1768,7 @@ mod tests {
             arch: Architecture::TemporalFence,
             scale: keys[0].scale.clone(),
         };
-        assert_ne!(runner.ablation_cell_seed(&keys[0]), runner.attack_cell_seed(&attack_key));
+        assert_ne!(runner.cell_seed(&keys[0]), runner.cell_seed(&attack_key));
     }
 
     #[test]

@@ -22,15 +22,13 @@
 //!   reconfiguration-stall tails are byte-identical across thread counts and
 //!   processes.
 //! * [`TenancyGrid`] / [`TenancyMatrix`] sweep {policy × load} through
-//!   [`SweepRunner`](crate::sweep::SweepRunner) under the same determinism
-//!   contract as the performance and attack grids.
+//!   [`SweepRunner`] under the same determinism contract as the performance
+//!   and attack grids.
 
 use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
 
 use ironhide_mesh::NodeId;
 use ironhide_sim::machine::Machine;
@@ -38,8 +36,9 @@ use ironhide_sim::process::SecurityClass;
 
 use crate::cluster::{ClusterError, ClusterManager, ReconfigError};
 use crate::faults::{FaultArch, FaultKind, FaultSchedule};
+use crate::fnv1a;
 use crate::kernel::{AppDomain, SecureKernel};
-use crate::sweep::{derive_seed, json_fields, json_string};
+use crate::sweep::{json_fields, json_string, CellError, Matrix, MatrixRow, SweepRunner};
 
 /// The enclave author key tenants sign their images with (the tenancy
 /// counterpart of the attack harness's victim key).
@@ -260,14 +259,7 @@ impl SloAccount {
     /// FNV-1a over the completion samples then the stall samples (in
     /// recording order) — the byte-stable checksum CI pins.
     pub fn checksum(&self) -> u64 {
-        let mut c: u64 = 0xcbf2_9ce4_8422_2325;
-        for s in self.completion_cycles.iter().chain(&self.stall_cycles) {
-            for byte in s.to_le_bytes() {
-                c ^= byte as u64;
-                c = c.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        c
+        fnv1a(self.completion_cycles.iter().chain(&self.stall_cycles).flat_map(|s| s.to_le_bytes()))
     }
 }
 
@@ -875,8 +867,7 @@ impl LoadPoint {
     }
 }
 
-/// The {policy × load} tenancy grid swept by
-/// [`SweepRunner::run_tenancy`](crate::sweep::SweepRunner::run_tenancy).
+/// The {policy × load} tenancy grid swept by [`SweepRunner::run_tenancy`].
 #[derive(Debug, Clone, Default)]
 pub struct TenancyGrid {
     /// Admission policies to sweep.
@@ -915,12 +906,12 @@ impl TenancyGrid {
 
     /// The canonical cell expansion: load-major, then policy (mirrors the
     /// other grids' single source of truth for ordering).
-    pub(crate) fn expanded(&self) -> Vec<(TenancyCellKey, &LoadPoint, AdmissionPolicy)> {
+    fn expanded(&self) -> Vec<(TenancyCellKey, &LoadPoint)> {
         let mut cells = Vec::with_capacity(self.len());
         for load in &self.loads {
             for policy in &self.policies {
                 let key = TenancyCellKey { policy: *policy, load: load.label.clone() };
-                cells.push((key, load, *policy));
+                cells.push((key, load));
             }
         }
         cells
@@ -928,7 +919,7 @@ impl TenancyGrid {
 
     /// The cell keys in canonical order.
     pub fn keys(&self) -> Vec<TenancyCellKey> {
-        self.expanded().into_iter().map(|(k, _, _)| k).collect()
+        self.expanded().into_iter().map(|(k, _)| k).collect()
     }
 }
 
@@ -949,26 +940,8 @@ impl fmt::Display for TenancyCellKey {
     }
 }
 
-/// A tenancy-sweep failure: the failing cell plus the cluster error.
-#[derive(Debug, Clone)]
-pub struct TenancySweepError {
-    /// The cell that failed.
-    pub cell: TenancyCellKey,
-    /// Why it failed.
-    pub error: ClusterError,
-}
-
-impl fmt::Display for TenancySweepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "tenancy cell [{}] failed: {}", self.cell, self.error)
-    }
-}
-
-impl std::error::Error for TenancySweepError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
-}
+/// A tenancy-sweep failure.
+pub type TenancySweepError = CellError<TenancyCellKey, ClusterError>;
 
 /// One completed tenancy cell.
 #[derive(Debug, Clone)]
@@ -981,15 +954,8 @@ pub struct TenancyCell {
     pub report: StormReport,
 }
 
-/// The completed tenancy grid, in canonical order, with a deterministic JSON
-/// rendering (same byte-stability contract as the other matrices).
-#[derive(Debug, Clone)]
-pub struct TenancyMatrix {
-    /// The master seed the sweep ran with.
-    pub master_seed: u64,
-    /// Completed cells in grid order (load-major, then policy).
-    pub cells: Vec<TenancyCell>,
-}
+/// The completed tenancy grid, in canonical order (load-major, then policy).
+pub type TenancyMatrix = Matrix<TenancyCell>;
 
 impl TenancyMatrix {
     /// Looks up one cell.
@@ -1000,67 +966,40 @@ impl TenancyMatrix {
     /// FNV-1a over every cell's SLO checksum, in grid order — the single
     /// number CI pins for the whole matrix.
     pub fn checksum(&self) -> u64 {
-        let mut c: u64 = 0xcbf2_9ce4_8422_2325;
-        for cell in &self.cells {
-            for byte in cell.report.slo.checksum().to_le_bytes() {
-                c ^= byte as u64;
-                c = c.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        c
-    }
-
-    /// Renders the matrix as deterministic JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024 + self.cells.len() * 512);
-        out.push_str("{\n  \"master_seed\": ");
-        out.push_str(&self.master_seed.to_string());
-        out.push_str(",\n  \"cells\": [");
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            tenancy_cell_json(&mut out, cell);
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        fnv1a(self.cells.iter().flat_map(|cell| cell.report.slo.checksum().to_le_bytes()))
     }
 }
 
-fn tenancy_cell_json(out: &mut String, cell: &TenancyCell) {
-    let r = &cell.report;
-    json_fields!(out, {
-        "policy": json_string(out, cell.key.policy.label()),
-        "load": json_string(out, &cell.key.load),
-        "seed": out.push_str(&cell.seed.to_string()),
-        "arrived": out.push_str(&r.arrived.to_string()),
-        "admitted": out.push_str(&r.admitted.to_string()),
-        "denied": out.push_str(&r.denied.to_string()),
-        "queued": out.push_str(&r.queued.to_string()),
-        "attested": out.push_str(&r.attested.to_string()),
-        "completions": out.push_str(&r.slo.completions().to_string()),
-        "completion_p50_cycles": out.push_str(&r.slo.completion_percentile(1, 2).to_string()),
-        "completion_p99_cycles": out.push_str(&r.slo.completion_percentile(99, 100).to_string()),
-        "completion_p999_cycles": out.push_str(&r.slo.completion_percentile(999, 1000).to_string()),
-        "stall_p50_cycles": out.push_str(&r.slo.stall_percentile(1, 2).to_string()),
-        "stall_p99_cycles": out.push_str(&r.slo.stall_percentile(99, 100).to_string()),
-        "stall_p999_cycles": out.push_str(&r.slo.stall_percentile(999, 1000).to_string()),
-        "stall_max_cycles": out.push_str(&r.slo.stall_max().to_string()),
-        "total_stall_cycles": out.push_str(&r.slo.total_stall_cycles().to_string()),
-        "reconfigurations": out.push_str(&r.reconfigurations.to_string()),
-        "pages_rehomed": out.push_str(&r.pages_rehomed.to_string()),
-        "final_cycle": out.push_str(&r.final_cycle.to_string()),
-        "slo_checksum": out.push_str(&r.slo.checksum().to_string()),
-    });
+impl MatrixRow for TenancyCell {
+    fn write_json(&self, out: &mut String) {
+        let r = &self.report;
+        json_fields!(out, {
+            "policy": json_string(out, self.key.policy.label()),
+            "load": json_string(out, &self.key.load),
+            "seed": out.push_str(&self.seed.to_string()),
+            "arrived": out.push_str(&r.arrived.to_string()),
+            "admitted": out.push_str(&r.admitted.to_string()),
+            "denied": out.push_str(&r.denied.to_string()),
+            "queued": out.push_str(&r.queued.to_string()),
+            "attested": out.push_str(&r.attested.to_string()),
+            "completions": out.push_str(&r.slo.completions().to_string()),
+            "completion_p50_cycles": out.push_str(&r.slo.completion_percentile(1, 2).to_string()),
+            "completion_p99_cycles": out.push_str(&r.slo.completion_percentile(99, 100).to_string()),
+            "completion_p999_cycles": out.push_str(&r.slo.completion_percentile(999, 1000).to_string()),
+            "stall_p50_cycles": out.push_str(&r.slo.stall_percentile(1, 2).to_string()),
+            "stall_p99_cycles": out.push_str(&r.slo.stall_percentile(99, 100).to_string()),
+            "stall_p999_cycles": out.push_str(&r.slo.stall_percentile(999, 1000).to_string()),
+            "stall_max_cycles": out.push_str(&r.slo.stall_max().to_string()),
+            "total_stall_cycles": out.push_str(&r.slo.total_stall_cycles().to_string()),
+            "reconfigurations": out.push_str(&r.reconfigurations.to_string()),
+            "pages_rehomed": out.push_str(&r.pages_rehomed.to_string()),
+            "final_cycle": out.push_str(&r.final_cycle.to_string()),
+            "slo_checksum": out.push_str(&r.slo.checksum().to_string()),
+        });
+    }
 }
 
-impl crate::sweep::SweepRunner {
-    /// The seed a given tenancy cell would run with.
-    pub fn tenancy_cell_seed(&self, key: &TenancyCellKey) -> u64 {
-        derive_seed(self.master_seed(), &key.to_string())
-    }
-
+impl SweepRunner {
     /// Runs every cell of the tenancy `grid` in parallel and collects the
     /// reports in grid order, under the same determinism contract as the
     /// performance and attack sweeps: the serialised [`TenancyMatrix`] is
@@ -1072,41 +1011,17 @@ impl crate::sweep::SweepRunner {
     /// Returns the first (in grid order) [`TenancySweepError`] if any cell
     /// fails; partial results are discarded.
     pub fn run_tenancy(&self, grid: &TenancyGrid) -> Result<TenancyMatrix, TenancySweepError> {
-        let cells = grid.expanded();
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(self.threads())
-            .build()
-            .expect("tenancy thread pool builds");
-        let machine_pools = crate::sweep::WorkerPools::new(pool.current_num_threads());
-        let results: Vec<Result<TenancyCell, TenancySweepError>> = pool.install(|| {
-            cells
-                .par_iter()
-                .map(|(key, load, policy)| {
-                    let seed = self.tenancy_cell_seed(key);
-                    let mut machine = machine_pools
-                        .take()
-                        .unwrap_or_else(|| Machine::new(self.machine_config().clone()));
-                    let storm = TenancyStorm::new(&load.config, *policy);
-                    let result = storm.run(&mut machine, seed);
-                    machine_pools.give(machine);
-                    let report =
-                        result.map_err(|error| TenancySweepError { cell: key.clone(), error })?;
-                    Ok(TenancyCell { key: key.clone(), seed, report })
-                })
-                .collect()
-        });
-        let mut out = Vec::with_capacity(results.len());
-        for result in results {
-            out.push(result?);
-        }
-        Ok(TenancyMatrix { master_seed: self.master_seed(), cells: out })
+        self.run_grid(grid.expanded(), |key, load, seed, slot| {
+            let machine = slot.get_or_insert_with(|| Machine::new(self.machine_config().clone()));
+            let report = TenancyStorm::new(&load.config, key.policy).run(machine, seed)?;
+            Ok(TenancyCell { key: key.clone(), seed, report })
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::SweepRunner;
     use ironhide_sim::config::MachineConfig;
 
     fn test_profiles() -> Vec<TenantProfile> {
@@ -1253,7 +1168,7 @@ mod tests {
     fn tenancy_seeds_are_namespaced_per_cell() {
         let runner = SweepRunner::new(MachineConfig::paper_default()).with_seed(7);
         let keys = test_grid().keys();
-        let seeds: Vec<u64> = keys.iter().map(|k| runner.tenancy_cell_seed(k)).collect();
+        let seeds: Vec<u64> = keys.iter().map(|k| runner.cell_seed(k)).collect();
         let mut unique = seeds.clone();
         unique.sort_unstable();
         unique.dedup();
