@@ -7,7 +7,8 @@
 //! the directory, mesh-contention and reconfiguration-window channels no
 //! hardware paper can reach). The output JSON (`BENCH_10.json` in the repo
 //! root) embeds the full deterministic matrix, a per-channel
-//! cheapest-closing-subset summary, and the FNV checksum CI pins.
+//! cheapest-closing-subset summary, and the FNV checksum `tests/pins.rs`
+//! pins.
 //!
 //! Usage:
 //!
@@ -15,31 +16,21 @@
 //! cargo run --release -p ironhide-bench --bin ablation            # full grid
 //! cargo run --release -p ironhide-bench --bin ablation -- --smoke # CI smoke
 //! cargo run --release -p ironhide-bench --bin ablation -- --out path.json
-//! cargo run --release -p ironhide-bench --bin ablation -- --threads 2
 //! ```
 //!
-//! Without `--threads` the grid runs at 1, 2 and 8 workers and the harness
-//! exits non-zero unless all three serialised matrices are **byte-identical**
-//! (the sweep runner's determinism contract). `--threads <n>` replaces that
-//! set with a single `n`-worker run; CI uses it to re-derive the smoke
-//! checksum in a separate process and pin it exactly. The harness also
-//! enforces the ablation's differential claim: every channel must decode
-//! under the zero-flush fence (it is the insecure baseline), SIMF must close
-//! every channel, and some selective subset must close each channel at a
-//! strictly lower switch cost than SIMF.
+//! The grid runs at 1, 2 and 8 workers and the harness exits non-zero
+//! unless all three serialised matrices are **byte-identical** (the sweep
+//! runner's determinism contract). The harness also enforces the
+//! ablation's differential claim: every channel must decode under the
+//! zero-flush fence (it is the insecure baseline), SIMF must close every
+//! channel, and some selective subset must close each channel at a strictly
+//! lower switch cost than SIMF.
 
-use ironhide_attacks::{ablation_grid, ablation_subsets, smoke_subsets};
-use ironhide_bench::identical_across_threads;
-use ironhide_core::sweep::{AblationMatrix, ScalePoint, SweepRunner};
+use ironhide_bench::experiments::ablation;
+use ironhide_bench::{identical_across_threads, THREAD_COUNTS};
+use ironhide_core::sweep::AblationMatrix;
 use ironhide_sim::config::MachineConfig;
 use ironhide_sim::fence::TemporalFenceConfig;
-
-/// Master seed of the ablation sweep (arbitrary but fixed forever: changing
-/// it would make the pinned checksum incomparable across PRs).
-const MASTER_SEED: u64 = 0xAB1A_7104;
-
-/// Thread counts of the byte-identity gate.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// The subset row every channel must stay open under.
 const NONE_LABEL: &str = "none";
@@ -50,7 +41,6 @@ const SIMF_LABEL: &str = "simf";
 fn main() {
     let mut smoke = false;
     let mut out_path = String::from("BENCH_10.json");
-    let mut threads_override: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -61,43 +51,21 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--threads" => {
-                threads_override = Some(
-                    args.next().and_then(|n| n.parse().ok()).filter(|&n| n > 0).unwrap_or_else(
-                        || {
-                            eprintln!("--threads requires a positive worker count");
-                            std::process::exit(2);
-                        },
-                    ),
-                );
-            }
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!("usage: ablation [--smoke] [--threads <n>] [--out <path>]");
+                eprintln!("usage: ablation [--smoke] [--out <path>]");
                 std::process::exit(2);
             }
         }
     }
 
-    let subsets = if smoke { smoke_subsets() } else { ablation_subsets() };
-    let grid = ablation_grid(subsets, &[ScalePoint::new("Smoke")]);
     let label = if smoke { "smoke" } else { "full" };
-    let config = MachineConfig::attack_testbench();
 
-    let thread_counts: Vec<usize> =
-        threads_override.map_or_else(|| THREAD_COUNTS.to_vec(), |n| vec![n]);
     // Byte-identity gate: every thread count must serialise the exact same
     // matrix.
-    let runs = identical_across_threads(&thread_counts, |threads| {
-        eprintln!(
-            "ablation: running {label} grid ({} cells, {threads} thread{})...",
-            grid.len(),
-            if threads == 1 { "" } else { "s" }
-        );
-        SweepRunner::new(config.clone())
-            .with_threads(threads)
-            .with_seed(MASTER_SEED)
-            .run_ablation(&grid)
+    let runs = identical_across_threads(&THREAD_COUNTS, |threads| {
+        eprintln!("ablation: running {label} grid at {threads} thread(s)...");
+        ablation(smoke, threads)
     })
     .unwrap_or_else(|e| {
         eprintln!("ablation: {e}");
@@ -116,7 +84,7 @@ fn main() {
         std::process::exit(1);
     }
 
-    let report = render_report(&matrix, &matrix_json, label, wall, &config, &thread_counts);
+    let report = render_report(&matrix, &matrix_json, label, wall);
     std::fs::write(&out_path, &report).unwrap_or_else(|e| {
         eprintln!("cannot write {out_path}: {e}");
         std::process::exit(1);
@@ -133,10 +101,8 @@ fn render_report(
     matrix_json: &str,
     grid_label: &str,
     wall_s: f64,
-    config: &MachineConfig,
-    thread_counts: &[usize],
 ) -> String {
-    let simf_cost = TemporalFenceConfig::simf().switch_cost(config);
+    let simf_cost = TemporalFenceConfig::simf().switch_cost(&MachineConfig::attack_testbench());
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"temporal_fence_ablation\",\n");
@@ -144,7 +110,7 @@ fn render_report(
     out.push_str(&format!("  \"cells\": {},\n", matrix.cells.len()));
     out.push_str(&format!("  \"master_seed\": {},\n", matrix.master_seed));
     out.push_str(&format!("  \"wall_seconds\": {wall_s:.3},\n"));
-    out.push_str(&format!("  \"thread_counts_identical\": {thread_counts:?},\n"));
+    out.push_str(&format!("  \"thread_counts_identical\": {THREAD_COUNTS:?},\n"));
     out.push_str(&format!("  \"ablation_checksum\": {},\n", matrix.checksum()));
     out.push_str(&format!("  \"simf_switch_cost\": {simf_cost},\n"));
 

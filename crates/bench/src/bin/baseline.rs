@@ -10,9 +10,9 @@
 //!
 //! The headline `accesses_per_sec` is measured on **one** worker thread
 //! (sequential hot-path cost); a `scaling` section then re-runs the same
-//! grid at 1, 2 and 8 workers and checks that every configuration produces
-//! the same simulated-cycle checksum — the determinism the sweep runner
-//! guarantees — while recording how wall time scales.
+//! grid at 1, 2 and 8 workers, recording how wall time scales, and the
+//! harness exits non-zero unless every run serialises the byte-identical
+//! matrix — the determinism the sweep runner guarantees.
 //!
 //! Usage:
 //!
@@ -20,14 +20,7 @@
 //! cargo run --release -p ironhide-bench --bin baseline            # full grid
 //! cargo run --release -p ironhide-bench --bin baseline -- --smoke # CI smoke
 //! cargo run --release -p ironhide-bench --bin baseline -- --out path.json
-//! cargo run --release -p ironhide-bench --bin baseline -- --threads 2
 //! ```
-//!
-//! `--threads <n>` replaces the 1/2/8 scaling set with a single `n`-worker
-//! run (which then also provides the headline figures). CI uses it to
-//! re-derive the smoke checksum in a separate 2-thread process and assert it
-//! equals the default run's — cross-thread determinism checked across
-//! processes, not just inside one harness invocation.
 //!
 //! The access count is the number of simulated memory accesses across
 //! **every** phase of every cell — predictor probes, warm-up and the
@@ -52,35 +45,24 @@
 //! "8-thread" run measures scheduling overhead, not parallel speedup, and
 //! BENCH_5's flat-to-negative scaling read as a parallelism bug until that
 //! distinction was recorded.
+//!
+//! Besides thread identity, the harness gates that the grid simulated
+//! accesses, that the all-phase count covers the measured phase, and that
+//! the headline rate clears a floor chosen with generous slack for host
+//! noise: it only catches a catastrophic hot-path regression.
 
-use std::time::Instant;
+use ironhide_bench::experiments::{baseline, simulated_cycles_total};
+use ironhide_bench::{
+    available_parallelism, identical_across_threads, peak_rss_bytes, THREAD_COUNTS,
+};
+use ironhide_core::sweep::SweepMatrix;
 
-use ironhide_bench::{available_parallelism, peak_rss_bytes};
-use ironhide_core::arch::Architecture;
-use ironhide_core::realloc::ReallocPolicy;
-use ironhide_core::sweep::{SweepMatrix, SweepRunner};
-use ironhide_sim::config::MachineConfig;
-use ironhide_workloads::app::{sweep_grid, AppId, ScaleFactor};
-
-/// Master seed of the baseline sweep (arbitrary but fixed forever: changing
-/// it would make the `total_cycles` checksum incomparable across PRs).
-const MASTER_SEED: u64 = 2;
-
-/// Thread counts of the scaling section.
-const SCALING_THREADS: [usize; 3] = [1, 2, 8];
-
-/// One scaling-section measurement.
-struct ScalePoint {
-    threads: usize,
-    wall_s: f64,
-    rate: u64,
-    sim_cycles: u64,
-}
+/// The headline `accesses_per_sec` floor.
+const RATE_FLOOR: u64 = 400_000;
 
 fn main() {
     let mut smoke = false;
     let mut out_path = String::from("BENCH_6.json");
-    let mut threads_override: Option<usize> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -91,78 +73,44 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--threads" => {
-                threads_override = Some(
-                    args.next().and_then(|n| n.parse().ok()).filter(|&n| n > 0).unwrap_or_else(
-                        || {
-                            eprintln!("--threads requires a positive worker count");
-                            std::process::exit(2);
-                        },
-                    ),
-                );
-            }
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!("usage: baseline [--smoke] [--threads <n>] [--out <path>]");
+                eprintln!("usage: baseline [--smoke] [--out <path>]");
                 std::process::exit(2);
             }
         }
     }
 
-    let apps: Vec<AppId> =
-        if smoke { vec![AppId::QueryAes, AppId::PrGraph] } else { AppId::ALL.to_vec() };
-    let archs = if smoke {
-        vec![Architecture::Mi6, Architecture::Ironhide]
-    } else {
-        Architecture::ALL.to_vec()
-    };
-    let grid = sweep_grid(&apps, &archs, &[ReallocPolicy::Heuristic], &[ScaleFactor::Smoke]);
     let label = if smoke { "smoke" } else { "full" };
+    let runs = identical_across_threads(&THREAD_COUNTS, |threads| {
+        eprintln!("baseline: running {label} grid at {threads} thread(s)...");
+        baseline(smoke, threads)
+    })
+    .unwrap_or_else(|e| {
+        eprintln!("baseline: {e}");
+        std::process::exit(1);
+    });
 
-    let scaling_threads: Vec<usize> =
-        threads_override.map_or_else(|| SCALING_THREADS.to_vec(), |n| vec![n]);
-    let headline_threads = scaling_threads[0];
-    let mut scaling: Vec<ScalePoint> = Vec::new();
-    let mut headline: Option<(SweepMatrix, f64)> = None;
-    for threads in scaling_threads {
-        let runner = SweepRunner::new(MachineConfig::paper_default())
-            .with_threads(threads)
-            .with_seed(MASTER_SEED);
-        eprintln!(
-            "baseline: running {label} grid ({} cells, {threads} thread{})...",
-            grid.len(),
-            if threads == 1 { "" } else { "s" }
-        );
-        let start = Instant::now();
-        let matrix = runner.run(&grid).unwrap_or_else(|e| {
-            eprintln!("baseline sweep failed: {e}");
+    let accesses: u64 = runs.matrix.cells.iter().map(|c| c.report.sim_accesses_total).sum();
+    let measured: u64 = runs.matrix.cells.iter().map(|c| c.report.machine.l1.accesses).sum();
+    // The headline figures come from the first (single-threaded) run.
+    let rate = per_sec(accesses, runs.walls[0].1);
+    let failures = [
+        (accesses == 0, format!("the {label} grid simulated no accesses")),
+        (
+            accesses < measured,
+            format!("all-phase accesses {accesses} undercut the measured phase's {measured}"),
+        ),
+        (rate < RATE_FLOOR, format!("accesses_per_sec {rate} fell below the floor {RATE_FLOOR}")),
+    ];
+    for (failed, why) in failures {
+        if failed {
+            eprintln!("baseline: GATE FAILURE — {why}");
             std::process::exit(1);
-        });
-        let wall = start.elapsed().as_secs_f64();
-        let accesses: u64 = matrix.cells.iter().map(|c| c.report.sim_accesses_total).sum();
-        let sim_cycles: u64 = matrix.cells.iter().map(|c| c.report.total_cycles).sum();
-        let rate = if wall > 0.0 { (accesses as f64 / wall).round() as u64 } else { 0 };
-        // Determinism gate: every thread count must agree on the checksum.
-        if let Some(first) = scaling.first() {
-            if sim_cycles != first.sim_cycles {
-                eprintln!(
-                    "baseline: NONDETERMINISM — {threads}-thread checksum {sim_cycles} != \
-                     1-thread checksum {}",
-                    first.sim_cycles
-                );
-                std::process::exit(1);
-            }
-        }
-        scaling.push(ScalePoint { threads, wall_s: wall, rate, sim_cycles });
-        if threads == headline_threads && headline.is_none() {
-            // The headline figures come from the scaling set's first run
-            // (sequential by default, the overridden count under --threads).
-            headline = Some((matrix, wall));
         }
     }
 
-    let (matrix, wall) = headline.expect("the scaling set includes the headline run");
-    let report = render_report(&matrix, label, wall, peak_rss_bytes(), &scaling);
+    let report = render_report(&runs.matrix, label, accesses, measured, &runs.walls);
     std::fs::write(&out_path, &report).unwrap_or_else(|e| {
         eprintln!("cannot write {out_path}: {e}");
         std::process::exit(1);
@@ -172,19 +120,26 @@ fn main() {
     println!("{report}");
 }
 
+/// `count` per wall-clock second, rounded.
+fn per_sec(count: u64, wall_s: f64) -> u64 {
+    if wall_s > 0.0 {
+        (count as f64 / wall_s).round() as u64
+    } else {
+        0
+    }
+}
+
 /// Renders the measurement as deterministic-layout JSON (the values of the
 /// timing fields naturally vary run to run; the layout does not).
 fn render_report(
     matrix: &SweepMatrix,
     grid_label: &str,
-    wall_s: f64,
-    peak_rss: u64,
-    scaling: &[ScalePoint],
+    accesses: u64,
+    measured: u64,
+    walls: &[(usize, f64)],
 ) -> String {
-    let accesses: u64 = matrix.cells.iter().map(|c| c.report.sim_accesses_total).sum();
-    let measured: u64 = matrix.cells.iter().map(|c| c.report.machine.l1.accesses).sum();
-    let sim_cycles: u64 = matrix.cells.iter().map(|c| c.report.total_cycles).sum();
-    let rate = if wall_s > 0.0 { accesses as f64 / wall_s } else { 0.0 };
+    let sim_cycles = simulated_cycles_total(matrix);
+    let wall_s = walls[0].1;
     let cores = available_parallelism();
     let mut out = String::new();
     out.push_str("{\n");
@@ -195,9 +150,9 @@ fn render_report(
     out.push_str(&format!("  \"accesses\": {accesses},\n"));
     out.push_str(&format!("  \"measured_accesses\": {measured},\n"));
     out.push_str(&format!("  \"wall_seconds\": {wall_s:.3},\n"));
-    out.push_str(&format!("  \"accesses_per_sec\": {},\n", rate.round() as u64));
+    out.push_str(&format!("  \"accesses_per_sec\": {},\n", per_sec(accesses, wall_s)));
     out.push_str(&format!("  \"simulated_cycles_total\": {sim_cycles},\n"));
-    out.push_str(&format!("  \"peak_rss_bytes\": {peak_rss},\n"));
+    out.push_str(&format!("  \"peak_rss_bytes\": {},\n", peak_rss_bytes()));
     out.push_str(&format!("  \"available_parallelism\": {cores},\n"));
     // Coherence traffic of the measured phase, summed over every cell's
     // directory counters and the NoC's maintenance-class packets (see the
@@ -216,20 +171,16 @@ fn render_report(
     out.push_str(&format!("    \"maintenance_packets\": {maintenance}\n"));
     out.push_str("  },\n");
     out.push_str("  \"scaling\": [\n");
-    for (i, p) in scaling.iter().enumerate() {
+    for (i, &(threads, wall)) in walls.iter().enumerate() {
         // threads > cores points measure oversubscription (scheduler churn),
         // not parallel speedup; the flag keeps container artifacts (a 1-CPU
         // CI host) distinguishable from genuine scaling regressions.
-        let oversubscribed = cores != 0 && p.threads > cores;
+        let oversubscribed = cores != 0 && threads > cores;
         out.push_str(&format!(
-            "    {{\"threads\": {}, \"wall_seconds\": {:.3}, \"accesses_per_sec\": {}, \
-             \"simulated_cycles_total\": {}, \"threads_exceed_cores\": {}}}{}\n",
-            p.threads,
-            p.wall_s,
-            p.rate,
-            p.sim_cycles,
-            oversubscribed,
-            if i + 1 == scaling.len() { "" } else { "," }
+            "    {{\"threads\": {threads}, \"wall_seconds\": {wall:.3}, \"accesses_per_sec\": {}, \
+             \"simulated_cycles_total\": {sim_cycles}, \"threads_exceed_cores\": {oversubscribed}}}{}\n",
+            per_sec(accesses, wall),
+            if i + 1 == walls.len() { "" } else { "," }
         ));
     }
     out.push_str("  ]\n");

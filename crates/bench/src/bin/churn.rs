@@ -16,6 +16,8 @@
 //! an in-process differential gate on every benchmark run — and reports both
 //! throughputs plus their ratio, so the committed `BENCH_7.json` carries the
 //! speedup claim *and* the evidence the optimisation is observably inert.
+//! It also gates that the storm re-homed pages and that the batched pass
+//! clears a reconfigs-per-second floor.
 //!
 //! The full grid also re-runs the BENCH_6 baseline sweeps (full + smoke) and
 //! embeds their simulated-cycle checksums, pinning the storm measurement to a
@@ -29,47 +31,15 @@
 //! cargo run --release -p ironhide-bench --bin churn -- --out path.json
 //! ```
 
-use std::time::Instant;
-
+use ironhide_bench::experiments::{
+    baseline, simulated_cycles_total, StormParams, StormResult, STORM_SEED,
+};
 use ironhide_bench::{available_parallelism, peak_rss_bytes};
-use ironhide_core::arch::Architecture;
-use ironhide_core::cluster::ClusterManager;
-use ironhide_core::realloc::ReallocPolicy;
-use ironhide_core::sweep::SweepRunner;
-use ironhide_mesh::{ClusterId, NodeId};
-use ironhide_sim::config::MachineConfig;
-use ironhide_sim::machine::Machine;
-use ironhide_sim::process::{ProcessId, SecurityClass};
-use ironhide_workloads::app::{sweep_grid, AppId, ScaleFactor};
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
 
-/// Master seed of the storm (arbitrary but fixed forever: changing it would
-/// make the stall-cycle checksum incomparable across PRs).
-const MASTER_SEED: u64 = 7;
-
-/// Master seed of the embedded baseline sweeps (must stay the BENCH_6 seed so
-/// the embedded checksums are the pinned 102451907 / 9755096 values).
-const BASELINE_SEED: u64 = 2;
-
-/// Secure-cluster shapes the storm alternates between. Row-major splits on
-/// the paper's 8×8 mesh; every consecutive pair differs, so every
-/// reconfiguration moves tiles, purges slices and re-homes pages.
-const SHAPES: [usize; 6] = [8, 16, 24, 32, 40, 56];
-
-/// One pass's measurement.
-struct StormResult {
-    wall_s: f64,
-    rate: u64,
-    stall_checksum: u64,
-    pages_rehomed: u64,
-    scrub_probes: u64,
-}
-
-struct StormParams {
-    reconfigs: u64,
-    warm_pages: u64,
-}
+/// The batched pass's `reconfigs_per_sec` floor, chosen with generous slack
+/// for host noise: it only catches a catastrophic reconfiguration-path
+/// regression.
+const RATE_FLOOR: u64 = 1_000;
 
 fn main() {
     let mut smoke = false;
@@ -93,16 +63,12 @@ fn main() {
     }
 
     let label = if smoke { "smoke" } else { "full" };
-    let params = if smoke {
-        StormParams { reconfigs: 40, warm_pages: 64 }
-    } else {
-        StormParams { reconfigs: 200, warm_pages: 128 }
-    };
+    let params = StormParams::new(smoke);
 
     eprintln!("churn: running {label} storm ({} reconfigs, reference pass)...", params.reconfigs);
-    let reference = run_storm(&params, true);
+    let reference = params.run(true);
     eprintln!("churn: running {label} storm ({} reconfigs, batched pass)...", params.reconfigs);
-    let batched = run_storm(&params, false);
+    let batched = params.run(false);
 
     // The in-harness differential gate: the batched protocol must be
     // observably identical to the scalar reference, stall cycle for stall
@@ -121,14 +87,32 @@ fn main() {
         );
         std::process::exit(1);
     }
+    if batched.pages_rehomed == 0 {
+        eprintln!("churn: GATE FAILURE — the storm re-homed no pages");
+        std::process::exit(1);
+    }
+    if batched.rate < RATE_FLOOR {
+        eprintln!(
+            "churn: GATE FAILURE — batched reconfigs_per_sec {} fell below the floor {RATE_FLOOR}",
+            batched.rate
+        );
+        std::process::exit(1);
+    }
 
-    // Full mode: pin the storm to an end-to-end-unchanged simulator by
-    // re-deriving the BENCH_6 baseline checksums.
-    let baseline_checksums = if smoke {
-        vec![("smoke", baseline_checksum(true))]
-    } else {
-        vec![("full_grid", baseline_checksum(false)), ("smoke", baseline_checksum(true))]
-    };
+    // Pin the storm to an end-to-end-unchanged simulator by re-deriving the
+    // BENCH_6 baseline checksums (full mode also re-runs the full grid).
+    let grids: &[(&str, bool)] =
+        if smoke { &[("smoke", true)] } else { &[("full_grid", false), ("smoke", true)] };
+    let baseline_checksums: Vec<(&str, u64)> = grids
+        .iter()
+        .map(|&(name, smoke)| {
+            let matrix = baseline(smoke, 1).unwrap_or_else(|e| {
+                eprintln!("churn: embedded baseline sweep failed: {e}");
+                std::process::exit(1);
+            });
+            (name, simulated_cycles_total(&matrix))
+        })
+        .collect();
 
     let speedup =
         if reference.rate > 0 { batched.rate as f64 / reference.rate as f64 } else { 0.0 };
@@ -139,114 +123,6 @@ fn main() {
     });
     eprintln!("churn: wrote {out_path}");
     println!("{report}");
-}
-
-/// Builds the warmed two-process machine and cluster manager every storm pass
-/// starts from. Identical across passes by construction (the machine is
-/// byte-deterministic and the warm-up is fixed).
-fn prepare(params: &StormParams) -> (Machine, ClusterManager, ProcessId, ProcessId) {
-    let mut machine = Machine::new(MachineConfig::paper_default());
-    let secure = machine.create_process("tenant-secure", SecurityClass::Secure);
-    let insecure = machine.create_process("tenant-insecure", SecurityClass::Insecure);
-    let (manager, _) =
-        ClusterManager::form(&mut machine, secure, insecure, SHAPES[3]).expect("initial clusters");
-    warm(&mut machine, &manager, secure, insecure, 0, params.warm_pages);
-    (machine, manager, secure, insecure)
-}
-
-/// Touches pages `base..base + pages` per process from cores spread over the
-/// process's cluster, so pins, L1/L2 lines and directory entries are all
-/// resident when a reconfiguration hits. The storm advances `base` between
-/// iterations — a sliding window, like real tenants continuously allocating:
-/// re-touched pages repopulate the caches, fresh pages allocate and pin
-/// round-robin over the *current* allowed slices, so every later shrink has
-/// real pages to move (a fixed working set converges to pins inside the
-/// always-allowed slice range and the storm degenerates to pure purges).
-fn warm(
-    machine: &mut Machine,
-    manager: &ClusterManager,
-    secure: ProcessId,
-    insecure: ProcessId,
-    base: u64,
-    pages: u64,
-) {
-    let secure_cores: Vec<NodeId> = manager.cores_iter(ClusterId::Secure).collect();
-    let insecure_cores: Vec<NodeId> = manager.cores_iter(ClusterId::Insecure).collect();
-    for p in base..base + pages {
-        let vaddr = p * 4096;
-        let sc = secure_cores[p as usize % secure_cores.len()];
-        let ic = insecure_cores[p as usize % insecure_cores.len()];
-        machine.access(sc, secure, vaddr, p % 3 == 0);
-        machine.access(ic, insecure, vaddr, p % 3 == 1);
-        // A second reader per page gives the directories Shared entries, so
-        // the scrub's sharer census has real work.
-        machine.access(secure_cores[(p as usize + 1) % secure_cores.len()], secure, vaddr, false);
-    }
-}
-
-/// Runs one seed-deterministic storm pass, timing only the `reconfigure`
-/// calls, and returns its measurement.
-fn run_storm(params: &StormParams, reference: bool) -> StormResult {
-    let (mut machine, mut manager, secure, insecure) = prepare(params);
-    machine.set_reconfig_reference(reference);
-    let mut rng = StdRng::seed_from_u64(MASTER_SEED);
-    let mut current = SHAPES[3];
-    let mut stall_checksum = 0u64;
-    let mut stalled = std::time::Duration::ZERO;
-    for i in 0..params.reconfigs {
-        let idx = (rng.next_u64() % SHAPES.len() as u64) as usize;
-        let mut target = SHAPES[idx];
-        if target == current {
-            target = SHAPES[(idx + 1) % SHAPES.len()];
-        }
-        let start = Instant::now();
-        let cycles =
-            manager.reconfigure(&mut machine, secure, insecure, target).expect("valid storm shape");
-        stalled += start.elapsed();
-        stall_checksum = stall_checksum.wrapping_add(cycles);
-        current = target;
-        // Open-loop tenant activity between reconfigurations (untimed): the
-        // window slides a quarter of its width per iteration, so caches and
-        // directories are resident *and* fresh pages keep pinning onto the
-        // current cluster shape, as real churn would.
-        warm(
-            &mut machine,
-            &manager,
-            secure,
-            insecure,
-            (i + 1) * params.warm_pages / 4,
-            params.warm_pages,
-        );
-    }
-    let wall_s = stalled.as_secs_f64();
-    let rate = if wall_s > 0.0 { (params.reconfigs as f64 / wall_s).round() as u64 } else { 0 };
-    StormResult {
-        wall_s,
-        rate,
-        stall_checksum,
-        pages_rehomed: machine.stats().pages_rehomed,
-        scrub_probes: machine.scrub_probes(),
-    }
-}
-
-/// Re-runs the BENCH_6 baseline sweep (smoke or full) and returns its
-/// simulated-cycle checksum.
-fn baseline_checksum(smoke: bool) -> u64 {
-    let apps: Vec<AppId> =
-        if smoke { vec![AppId::QueryAes, AppId::PrGraph] } else { AppId::ALL.to_vec() };
-    let archs = if smoke {
-        vec![Architecture::Mi6, Architecture::Ironhide]
-    } else {
-        Architecture::ALL.to_vec()
-    };
-    let grid = sweep_grid(&apps, &archs, &[ReallocPolicy::Heuristic], &[ScaleFactor::Smoke]);
-    let runner =
-        SweepRunner::new(MachineConfig::paper_default()).with_threads(1).with_seed(BASELINE_SEED);
-    let matrix = runner.run(&grid).unwrap_or_else(|e| {
-        eprintln!("churn: embedded baseline sweep failed: {e}");
-        std::process::exit(1);
-    });
-    matrix.cells.iter().map(|c| c.report.total_cycles).sum()
 }
 
 /// Renders the measurement as deterministic-layout JSON (timing fields vary
@@ -263,7 +139,7 @@ fn render_report(
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"reconfiguration_storm\",\n");
     out.push_str(&format!("  \"grid\": \"{grid_label}\",\n"));
-    out.push_str(&format!("  \"master_seed\": {MASTER_SEED},\n"));
+    out.push_str(&format!("  \"master_seed\": {STORM_SEED},\n"));
     out.push_str(&format!("  \"reconfigs\": {},\n", params.reconfigs));
     out.push_str(&format!("  \"warm_pages_per_process\": {},\n", params.warm_pages));
     for (name, r) in [("reference", reference), ("batched", batched)] {

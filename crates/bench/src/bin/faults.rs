@@ -16,7 +16,9 @@
 //!    every sweep in this workspace carries).
 //! 2. **Conservation** — every cell, however hard it was faulted, must
 //!    satisfy `admitted + denied + queued + failed_recovered == arrived`:
-//!    degradation may slow tenants down but never loses one.
+//!    degradation may slow tenants down but never loses one. Audited cells
+//!    must recover every dropped packet, and the grid as a whole must
+//!    actually have fired faults.
 //! 3. **Bounded degradation** — each faulted cell's p99 completion latency
 //!    must stay within a fixed factor of its same-kind, same-discipline
 //!    healthy baseline (the rate-0 cell), so "graceful" is a measured claim.
@@ -35,19 +37,15 @@
 //! ```
 
 use ironhide_attacks::window::{FaultMode, WindowAttack};
-use ironhide_bench::{available_parallelism, identical_across_threads, peak_rss_bytes};
+use ironhide_bench::experiments::faults;
+use ironhide_bench::{
+    available_parallelism, identical_across_threads, peak_rss_bytes, THREAD_COUNTS,
+};
 use ironhide_core::arch::Architecture;
 use ironhide_core::attack::ChannelVerdict;
 use ironhide_core::cluster::PurgeOrder;
-use ironhide_core::faults::{FaultArch, FaultGrid, FaultKind, FaultMatrix};
-use ironhide_core::sweep::SweepRunner;
-use ironhide_core::tenancy::{AdmissionPolicy, StormConfig};
+use ironhide_core::faults::FaultMatrix;
 use ironhide_sim::config::MachineConfig;
-use ironhide_workloads::{tenant_profiles, AppId};
-
-/// Master seed of the fault campaign (arbitrary but fixed forever: changing
-/// it would make the campaign checksums incomparable across PRs).
-const MASTER_SEED: u64 = 11;
 
 /// Seed of the fault-channel verdict rows (matches the window-attack tests).
 const WINDOW_SEED: u64 = 7;
@@ -60,9 +58,6 @@ const WINDOW_DROP_RATE: u32 = 800;
 /// Gate 3's bound: a faulted cell's p99 completion latency must stay within
 /// this factor of its healthy (rate-0) same-kind, same-discipline baseline.
 const SLO_DEGRADATION_FACTOR: u64 = 10;
-
-/// Thread counts the fault matrix must be byte-identical across.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn main() {
     let mut smoke = false;
@@ -86,28 +81,20 @@ fn main() {
     }
 
     let label = if smoke { "smoke" } else { "full" };
-    let grid = fault_grid(smoke);
 
     // Gate 1: the matrix must serialise byte-identically at every thread
     // count. The single-threaded pass is the canonical one reported.
-    eprintln!(
-        "faults: running {label} campaign ({} cells) at {THREAD_COUNTS:?} threads...",
-        grid.len()
-    );
-    let runs = identical_across_threads(&THREAD_COUNTS, |threads| {
-        SweepRunner::new(MachineConfig::paper_default())
-            .with_threads(threads)
-            .with_seed(MASTER_SEED)
-            .run_faults(&grid)
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("faults: {e}");
-        std::process::exit(1);
-    });
+    eprintln!("faults: running {label} campaign at {THREAD_COUNTS:?} threads...");
+    let runs = identical_across_threads(&THREAD_COUNTS, |threads| faults(smoke, threads))
+        .unwrap_or_else(|e| {
+            eprintln!("faults: {e}");
+            std::process::exit(1);
+        });
     let (matrix, sweep_walls) = (runs.matrix, runs.walls);
 
     // Gate 2: conservation — no tenant is ever lost, only delayed or
-    // re-routed, whatever broke underneath.
+    // re-routed, whatever broke underneath — under faults that really fired.
+    let mut fired = 0;
     for cell in &matrix.cells {
         let r = &cell.report;
         if !r.conserves_tenants() {
@@ -124,6 +111,11 @@ fn main() {
             );
             std::process::exit(1);
         }
+        fired += r.faults_injected + r.dropped_scrubs_detected + r.dropped_scrubs_unrecovered;
+    }
+    if fired == 0 {
+        eprintln!("faults: GATE FAILURE — no fault fired anywhere in the {label} campaign");
+        std::process::exit(1);
     }
 
     // Gate 3: bounded degradation against each (kind, arch)'s rate-0 cell.
@@ -167,30 +159,6 @@ fn main() {
     });
     eprintln!("faults: wrote {out_path}");
     println!("{report}");
-}
-
-/// The {kind × rate × arch} campaign grid over one tenant storm.
-fn fault_grid(smoke: bool) -> FaultGrid {
-    let (tenants, rates): (usize, &[u32]) =
-        if smoke { (40, &[0, 200]) } else { (120, &[0, 120, 500]) };
-    let storm = StormConfig {
-        tenants,
-        mean_interarrival_cycles: 30_000,
-        mean_service_scale: 1,
-        host_reserve_cores: 8,
-        profiles: tenant_profiles(&AppId::ALL),
-    };
-    let mut grid = FaultGrid::new(storm, AdmissionPolicy::Queue);
-    for kind in FaultKind::ALL {
-        grid = grid.with_kind(kind);
-    }
-    for rate in rates {
-        grid = grid.with_rate(*rate);
-    }
-    for arch in FaultArch::ALL {
-        grid = grid.with_arch(arch);
-    }
-    grid
 }
 
 /// One fault-channel verdict row: the expected verdict, the measured attack
@@ -248,7 +216,7 @@ fn render_report(
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"fault_campaign\",\n");
     out.push_str(&format!("  \"grid\": \"{grid_label}\",\n"));
-    out.push_str(&format!("  \"master_seed\": {MASTER_SEED},\n"));
+    out.push_str(&format!("  \"master_seed\": {},\n", matrix.master_seed));
     out.push_str(&format!("  \"campaign_checksum\": {},\n", matrix.checksum()));
     out.push_str(&format!("  \"thread_counts_identical\": {THREAD_COUNTS:?},\n"));
     out.push_str(&format!("  \"slo_degradation_factor_bound\": {SLO_DEGRADATION_FACTOR},\n"));

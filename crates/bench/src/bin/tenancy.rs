@@ -14,10 +14,9 @@
 //! 1. **Thread identity** — the tenancy matrix is serialised at 1, 2 and 8
 //!    worker threads and must be byte-identical (the determinism contract
 //!    every sweep in this workspace carries).
-//! 2. **Storm baseline** — the BENCH_7 smoke reconfiguration storm is
-//!    replayed and its stall-cycle checksum must equal the pinned value, so
-//!    the tenancy numbers ride on a simulator whose reconfiguration
-//!    semantics are byte-unchanged.
+//! 2. **Conservation** — every cell must satisfy `admitted + denied +
+//!    queued == arrived` and drain its queue: admission control may deny or
+//!    delay a tenant but never loses or strands one.
 //! 3. **Window verdicts** — the reconfiguration-window covert channel must
 //!    judge CLOSED (clean isolation audit) under the shipped purge ordering
 //!    on MI6 and IRONHIDE, OPEN on the insecure baseline, and OPEN under the
@@ -32,43 +31,19 @@
 //! cargo run --release -p ironhide-bench --bin tenancy -- --out path.json
 //! ```
 
-use std::time::Instant;
-
 use ironhide_attacks::window::WindowAttack;
-use ironhide_bench::{available_parallelism, identical_across_threads, peak_rss_bytes};
+use ironhide_bench::experiments::tenancy;
+use ironhide_bench::{
+    available_parallelism, identical_across_threads, peak_rss_bytes, THREAD_COUNTS,
+};
 use ironhide_core::arch::Architecture;
 use ironhide_core::attack::{AttackOutcome, ChannelVerdict};
-use ironhide_core::cluster::{ClusterManager, PurgeOrder};
-use ironhide_core::sweep::SweepRunner;
-use ironhide_core::tenancy::{AdmissionPolicy, LoadPoint, StormConfig, TenancyGrid, TenancyMatrix};
-use ironhide_mesh::{ClusterId, NodeId};
+use ironhide_core::cluster::PurgeOrder;
+use ironhide_core::tenancy::TenancyMatrix;
 use ironhide_sim::config::MachineConfig;
-use ironhide_sim::machine::Machine;
-use ironhide_sim::process::{ProcessId, SecurityClass};
-use ironhide_workloads::{tenant_profiles, AppId};
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
-
-/// Master seed of the tenancy sweep (arbitrary but fixed forever: changing
-/// it would make the SLO checksums incomparable across PRs).
-const MASTER_SEED: u64 = 11;
 
 /// Seed of the window-channel verdict rows (matches the module tests).
 const WINDOW_SEED: u64 = 7;
-
-/// Master seed of the embedded BENCH_7 storm replay (must stay the churn
-/// bench's seed so the replayed checksum is the pinned value).
-const STORM_SEED: u64 = 7;
-
-/// The pinned BENCH_7 smoke-storm stall-cycle checksum. The tenancy numbers
-/// are only reported if the replay still reproduces it byte-for-byte.
-const STORM_STALL_CHECKSUM: u64 = 2778250;
-
-/// Secure-cluster shapes of the storm replay (the churn bench's).
-const SHAPES: [usize; 6] = [8, 16, 24, 32, 40, 56];
-
-/// Thread counts the tenancy matrix must be byte-identical across.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn main() {
     let mut smoke = false;
@@ -92,34 +67,28 @@ fn main() {
     }
 
     let label = if smoke { "smoke" } else { "full" };
-    let grid = tenancy_grid(smoke);
 
     // Gate 1: the matrix must serialise byte-identically at every thread
     // count. The single-threaded pass is the canonical one reported.
-    eprintln!(
-        "tenancy: running {label} grid ({} cells) at {THREAD_COUNTS:?} threads...",
-        grid.len()
-    );
-    let runs = identical_across_threads(&THREAD_COUNTS, |threads| {
-        SweepRunner::new(MachineConfig::paper_default())
-            .with_threads(threads)
-            .with_seed(MASTER_SEED)
-            .run_tenancy(&grid)
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("tenancy: {e}");
-        std::process::exit(1);
-    });
+    eprintln!("tenancy: running {label} grid at {THREAD_COUNTS:?} threads...");
+    let runs = identical_across_threads(&THREAD_COUNTS, |threads| tenancy(smoke, threads))
+        .unwrap_or_else(|e| {
+            eprintln!("tenancy: {e}");
+            std::process::exit(1);
+        });
     let (matrix, sweep_walls) = (runs.matrix, runs.walls);
 
-    // Gate 2: replay the BENCH_7 smoke storm and pin its stall checksum.
-    eprintln!("tenancy: replaying the BENCH_7 smoke storm...");
-    let (storm_checksum, storm_wall_s, storm_reconfigs) = replay_storm();
-    if storm_checksum != STORM_STALL_CHECKSUM {
-        eprintln!(
-            "tenancy: DIVERGENCE — storm stall checksum {storm_checksum} != pinned {STORM_STALL_CHECKSUM}"
-        );
-        std::process::exit(1);
+    // Gate 2: conservation — every arrival is admitted, denied or still
+    // queued, and the queue drains by the end of the storm.
+    for cell in &matrix.cells {
+        let r = &cell.report;
+        if !r.conserves_tenants() || r.queued != 0 {
+            eprintln!(
+                "tenancy: CONSERVATION FAILURE in [{}]: {} admitted + {} denied + {} queued, {} arrived",
+                cell.key, r.admitted, r.denied, r.queued, r.arrived
+            );
+            std::process::exit(1);
+        }
     }
 
     // Gate 3: the reconfiguration-window verdict rows.
@@ -142,101 +111,13 @@ fn main() {
         }
     }
 
-    let report =
-        render_report(label, &matrix, &sweep_walls, storm_wall_s, storm_reconfigs, &verdicts);
+    let report = render_report(label, &matrix, &sweep_walls, &verdicts);
     std::fs::write(&out_path, &report).unwrap_or_else(|e| {
         eprintln!("cannot write {out_path}: {e}");
         std::process::exit(1);
     });
     eprintln!("tenancy: wrote {out_path}");
     println!("{report}");
-}
-
-/// The {policy × load} grid: every admission policy against loads whose
-/// tenant classes come from the paper's nine applications.
-fn tenancy_grid(smoke: bool) -> TenancyGrid {
-    let profiles = tenant_profiles(&AppId::ALL);
-    let load = |label: &str, tenants: usize, interarrival: u64| {
-        LoadPoint::new(
-            label,
-            StormConfig {
-                tenants,
-                mean_interarrival_cycles: interarrival,
-                mean_service_scale: 1,
-                host_reserve_cores: 8,
-                profiles: profiles.clone(),
-            },
-        )
-    };
-    let mut grid = TenancyGrid::new();
-    for policy in AdmissionPolicy::ALL {
-        grid = grid.with_policy(policy);
-    }
-    if smoke {
-        grid = grid.with_load(load("Smoke", 40, 30_000));
-    } else {
-        // Calm: arrivals mostly drain before the next tenant lands.
-        // Storm: heavy overlap — admission control decides the tails.
-        grid = grid.with_load(load("Calm", 120, 60_000));
-        grid = grid.with_load(load("Storm", 240, 12_000));
-    }
-    grid
-}
-
-/// Replays the churn bench's smoke storm (batched path) and returns its
-/// stall checksum plus throughput, pinning the tenancy run to a simulator
-/// with byte-unchanged reconfiguration semantics.
-fn replay_storm() -> (u64, f64, u64) {
-    const RECONFIGS: u64 = 40;
-    const WARM_PAGES: u64 = 64;
-    let mut machine = Machine::new(MachineConfig::paper_default());
-    machine.set_reconfig_reference(false);
-    let secure = machine.create_process("tenant-secure", SecurityClass::Secure);
-    let insecure = machine.create_process("tenant-insecure", SecurityClass::Insecure);
-    let (mut manager, _) =
-        ClusterManager::form(&mut machine, secure, insecure, SHAPES[3]).expect("initial clusters");
-    warm(&mut machine, &manager, secure, insecure, 0, WARM_PAGES);
-
-    let mut rng = StdRng::seed_from_u64(STORM_SEED);
-    let mut current = SHAPES[3];
-    let mut stall_checksum = 0u64;
-    let mut stalled = std::time::Duration::ZERO;
-    for i in 0..RECONFIGS {
-        let idx = (rng.next_u64() % SHAPES.len() as u64) as usize;
-        let mut target = SHAPES[idx];
-        if target == current {
-            target = SHAPES[(idx + 1) % SHAPES.len()];
-        }
-        let start = Instant::now();
-        let cycles =
-            manager.reconfigure(&mut machine, secure, insecure, target).expect("valid storm shape");
-        stalled += start.elapsed();
-        stall_checksum = stall_checksum.wrapping_add(cycles);
-        current = target;
-        warm(&mut machine, &manager, secure, insecure, (i + 1) * WARM_PAGES / 4, WARM_PAGES);
-    }
-    (stall_checksum, stalled.as_secs_f64(), RECONFIGS)
-}
-
-/// The churn bench's open-loop warm-up between reconfigurations.
-fn warm(
-    machine: &mut Machine,
-    manager: &ClusterManager,
-    secure: ProcessId,
-    insecure: ProcessId,
-    base: u64,
-    pages: u64,
-) {
-    let secure_cores: Vec<NodeId> = manager.cores_iter(ClusterId::Secure).collect();
-    let insecure_cores: Vec<NodeId> = manager.cores_iter(ClusterId::Insecure).collect();
-    for p in base..base + pages {
-        let vaddr = p * 4096;
-        let sc = secure_cores[p as usize % secure_cores.len()];
-        let ic = insecure_cores[p as usize % insecure_cores.len()];
-        machine.access(sc, secure, vaddr, p % 3 == 0);
-        machine.access(ic, insecure, vaddr, p % 3 == 1);
-        machine.access(secure_cores[(p as usize + 1) % secure_cores.len()], secure, vaddr, false);
-    }
 }
 
 /// The golden verdict rows: expected verdict paired with the measured
@@ -265,15 +146,13 @@ fn render_report(
     grid_label: &str,
     matrix: &TenancyMatrix,
     sweep_walls: &[(usize, f64)],
-    storm_wall_s: f64,
-    storm_reconfigs: u64,
     verdicts: &[(ChannelVerdict, AttackOutcome)],
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"tenant_churn\",\n");
     out.push_str(&format!("  \"grid\": \"{grid_label}\",\n"));
-    out.push_str(&format!("  \"master_seed\": {MASTER_SEED},\n"));
+    out.push_str(&format!("  \"master_seed\": {},\n", matrix.master_seed));
     out.push_str(&format!("  \"tenancy_checksum\": {},\n", matrix.checksum()));
     out.push_str(&format!("  \"thread_counts_identical\": {THREAD_COUNTS:?},\n"));
 
@@ -321,14 +200,6 @@ fn render_report(
         ));
     }
     out.push_str("  ],\n");
-
-    out.push_str("  \"storm_replay\": {\n");
-    out.push_str(&format!("    \"stall_cycle_checksum\": {STORM_STALL_CHECKSUM},\n"));
-    out.push_str(&format!(
-        "    \"reconfigs_per_sec\": {}\n",
-        if storm_wall_s > 0.0 { (storm_reconfigs as f64 / storm_wall_s).round() as u64 } else { 0 }
-    ));
-    out.push_str("  },\n");
 
     out.push_str("  \"sweep_wall_seconds\": {\n");
     for (i, (threads, wall)) in sweep_walls.iter().enumerate() {

@@ -18,9 +18,10 @@
 //! * `micro_primitives` — Criterion microbenchmarks of the purge and IPC
 //!   primitives backing the per-event costs quoted in Section V.
 //!
-//! This library crate holds the shared sweep/reporting helpers, and the
-//! harness pieces the `BENCH_*.json` binaries share: the N-thread
-//! byte-identity gate, peak RSS and the host's core count.
+//! This library crate holds the shared sweep/reporting helpers, the
+//! [`experiments`] the `BENCH_*.json` binaries run, and the harness pieces
+//! those binaries share: the N-thread byte-identity gate, peak RSS and the
+//! host's core count.
 
 use std::fmt::Display;
 use std::time::Instant;
@@ -31,6 +32,8 @@ use ironhide_core::runner::{CompletionReport, ExperimentRunner};
 use ironhide_core::sweep::{Matrix, MatrixRow};
 use ironhide_sim::config::MachineConfig;
 use ironhide_workloads::app::{AppId, ScaleFactor};
+
+pub mod experiments;
 
 // The single definition lives in the sweep harness; re-exported here so the
 // figure benches keep their historical `ironhide_bench::geometric_mean` path.
@@ -97,6 +100,9 @@ pub fn print_header(cells: &[&str]) {
     print_row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
     println!("|{}|", cells.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
 }
+
+/// The worker counts every binary's byte-identity gate runs its sweep at.
+pub const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// A sweep that serialised byte-identically at every worker count it ran at.
 #[derive(Debug)]
@@ -170,6 +176,39 @@ mod tests {
         assert_eq!(geometric_mean(&[]), 0.0);
         assert!((geometric_mean(&[4.0, 1.0]) - 2.0).abs() < 1e-12);
         assert!((geometric_mean(&[3.0, 3.0, 3.0]) - 3.0).abs() < 1e-12);
+    }
+
+    /// A one-cell matrix row rendering just its value.
+    #[derive(Debug)]
+    struct Row(usize);
+
+    impl MatrixRow for Row {
+        fn write_json(&self, out: &mut String) {
+            out.push_str(&self.0.to_string());
+        }
+    }
+
+    #[test]
+    fn identity_gate_names_both_counts_when_a_run_serialises_differently() {
+        let err = identical_across_threads(&[1, 2, 8], |n| {
+            Ok::<_, String>(Matrix { master_seed: 0, cells: vec![Row(n)] })
+        })
+        .unwrap_err();
+        assert!(err.starts_with("NONDETERMINISM"), "{err}");
+        assert!(err.contains("the 2-thread matrix differs from the 1-thread matrix"), "{err}");
+    }
+
+    #[test]
+    fn identity_gate_names_the_thread_count_of_a_failed_sweep() {
+        let err = identical_across_threads(&[1, 2, 8], |n| {
+            if n == 2 {
+                Err("cell exploded")
+            } else {
+                Ok(Matrix { master_seed: 0, cells: vec![Row(0)] })
+            }
+        })
+        .unwrap_err();
+        assert_eq!(err, "sweep failed at 2 threads: cell exploded");
     }
 
     #[test]

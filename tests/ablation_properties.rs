@@ -1,20 +1,10 @@
 //! Property tests of the temporal-fence defence ablation: flush-subset
-//! monotonicity (in both charged cost and channel verdict), thread-count
-//! byte-identity of the ablation matrix, and the cross-process pin that ties
-//! the facade's view of the smoke grid to the `ablation` bench binary's.
+//! monotonicity (in both charged cost and channel verdict) and thread-count
+//! byte-identity of the `ablation` bench binary's smoke matrix.
 
 use ironhide::prelude::*;
+use ironhide_bench::experiments::ablation;
 use proptest::prelude::*;
-
-/// The `ablation` binary's master seed; the cross-process pin below only
-/// holds against the grid that binary actually sweeps.
-const BENCH_MASTER_SEED: u64 = 0xAB1A_7104;
-
-/// The smoke ablation checksum the `ablation --smoke` binary reports (and CI
-/// pins). Recomputing it here, in a different process from a different
-/// crate, proves the ablation matrix is a pure function of (seed, grid) —
-/// not of process layout, ASLR, linkage order or thread scheduling.
-const BENCH_SMOKE_CHECKSUM: u64 = 1172886106034387684;
 
 /// Builds a flush subset from the low 6 bits of `bits`, one per resource in
 /// canonical order — the whole 64-element subset lattice is reachable.
@@ -46,11 +36,6 @@ fn run_subsets(
         .with_threads(threads)
         .run_ablation(&grid)
         .expect("ablation sweep runs")
-}
-
-/// The `ablation --smoke` grid, replicated field for field.
-fn bench_smoke_matrix(threads: usize) -> AblationMatrix {
-    run_subsets(smoke_subsets(), ablation_channels(), BENCH_MASTER_SEED, threads)
 }
 
 /// Recovers the flush set a matrix row ran with from its subset label (the
@@ -147,25 +132,11 @@ fn full_subset_lattice_is_monotone() {
 /// sweeps carry.
 #[test]
 fn ablation_matrix_is_byte_identical_across_thread_counts() {
-    let baseline = bench_smoke_matrix(1).to_json();
+    let baseline = ablation(true, 1).expect("ablation sweep runs").to_json();
     for threads in [2usize, 8] {
-        let json = bench_smoke_matrix(threads).to_json();
+        let json = ablation(true, threads).expect("ablation sweep runs").to_json();
         assert_eq!(baseline, json, "thread count {threads} changed the ablation matrix");
     }
-}
-
-/// Recomputes the `ablation --smoke` checksum from this test process. If
-/// this moves, either the fence/flush semantics changed (update the bench
-/// and CI pins too, with a changelog entry) or the matrix silently depends
-/// on ambient process state (a determinism bug).
-#[test]
-fn ablation_checksum_matches_the_bench_binary_pin() {
-    let matrix = bench_smoke_matrix(2);
-    assert_eq!(
-        matrix.checksum(),
-        BENCH_SMOKE_CHECKSUM,
-        "smoke ablation checksum moved — bench/CI pins must move with it"
-    );
 }
 
 proptest! {

@@ -1,48 +1,12 @@
 //! Determinism, conservation and recovery properties of the fault-injection
-//! campaign, plus the cross-process pin that ties the facade's view of the
-//! fault grid to the `faults` bench binary's.
+//! campaign, on the `faults` bench binary's own smoke grid.
 
 use ironhide::prelude::*;
+use ironhide_bench::experiments::faults;
 use proptest::prelude::*;
 
-/// The `faults` binary's master seed; the cross-process pin below only holds
-/// against the grid that binary actually sweeps.
-const BENCH_MASTER_SEED: u64 = 11;
-
-/// The smoke campaign checksum the `faults --smoke` binary reports (and CI
-/// pins). Recomputing it here, in a different process from a different
-/// crate, proves the fault matrix is a pure function of (seed, grid) — not
-/// of process layout, ASLR, linkage order or thread scheduling.
-const BENCH_SMOKE_CHECKSUM: u64 = 12360661825985589235;
-
-/// The `faults` binary's smoke campaign, replicated field for field.
-fn bench_smoke_grid() -> FaultGrid {
-    let storm = StormConfig {
-        tenants: 40,
-        mean_interarrival_cycles: 30_000,
-        mean_service_scale: 1,
-        host_reserve_cores: 8,
-        profiles: tenant_profiles(&AppId::ALL),
-    };
-    let mut grid = FaultGrid::new(storm, AdmissionPolicy::Queue);
-    for kind in FaultKind::ALL {
-        grid = grid.with_kind(kind);
-    }
-    for rate in [0u32, 200] {
-        grid = grid.with_rate(rate);
-    }
-    for arch in FaultArch::ALL {
-        grid = grid.with_arch(arch);
-    }
-    grid
-}
-
-fn run(seed: u64, threads: usize) -> FaultMatrix {
-    SweepRunner::new(MachineConfig::paper_default())
-        .with_seed(seed)
-        .with_threads(threads)
-        .run_faults(&bench_smoke_grid())
-        .expect("fault sweep runs")
+fn run(threads: usize) -> FaultMatrix {
+    faults(true, threads).expect("fault sweep runs")
 }
 
 /// The serialised campaign must be byte-identical at 1, 2 and 8 worker
@@ -50,32 +14,18 @@ fn run(seed: u64, threads: usize) -> FaultMatrix {
 /// carry, now under injected failure.
 #[test]
 fn fault_matrix_is_byte_identical_across_thread_counts() {
-    let baseline = run(BENCH_MASTER_SEED, 1).to_json();
+    let baseline = run(1).to_json();
     for threads in [2usize, 8] {
-        let json = run(BENCH_MASTER_SEED, threads).to_json();
+        let json = run(threads).to_json();
         assert_eq!(baseline, json, "thread count {threads} changed the fault matrix");
     }
-}
-
-/// Recomputes the `faults --smoke` campaign checksum from this test process.
-/// If this moves, either the fault/storm semantics changed (update the bench
-/// pin too, with a changelog entry) or the matrix silently depends on
-/// ambient process state (a determinism bug).
-#[test]
-fn fault_checksum_matches_the_bench_binary_pin() {
-    let matrix = run(BENCH_MASTER_SEED, 2);
-    assert_eq!(
-        matrix.checksum(),
-        BENCH_SMOKE_CHECKSUM,
-        "fault smoke campaign checksum moved — bench/CI pins must move with it"
-    );
 }
 
 /// Every cell of the pinned campaign conserves tenants and, when audited,
 /// discharges its recovery obligation completely.
 #[test]
 fn pinned_campaign_conserves_and_recovers() {
-    let matrix = run(BENCH_MASTER_SEED, 4);
+    let matrix = run(4);
     for cell in &matrix.cells {
         let r = &cell.report;
         assert!(r.conserves_tenants(), "cell [{}] lost tenants", cell.key);

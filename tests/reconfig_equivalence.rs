@@ -25,6 +25,7 @@ use ironhide::ironhide_sim::config::MachineConfig;
 use ironhide::ironhide_sim::machine::Machine;
 use ironhide::ironhide_sim::process::{ProcessId, SecurityClass};
 use ironhide::ironhide_workloads::app::{sweep_grid, AppId, ScaleFactor};
+use ironhide_bench::experiments::warm;
 
 // ---------------------------------------------------------------------------
 // Machine-level differential: random pin tables, slice restrictions and
@@ -172,39 +173,14 @@ proptest! {
 // protocol on the paper-scale machine, under a directed storm.
 // ---------------------------------------------------------------------------
 
-/// Touches a sliding window of pages per process from cores spread over the
-/// live clusters (the churn harness's warm-up, at test scale): pins, cache
-/// lines and directory entries are all resident when a reconfiguration hits,
-/// and fresh pages keep pinning onto the current shape.
-fn warm(
-    machine: &mut Machine,
-    manager: &ClusterManager,
-    secure: ProcessId,
-    insecure: ProcessId,
-    base: u64,
-    pages: u64,
-) {
-    let secure_cores: Vec<NodeId> = manager.cores_iter(ClusterId::Secure).collect();
-    let insecure_cores: Vec<NodeId> = manager.cores_iter(ClusterId::Insecure).collect();
-    for p in base..base + pages {
-        let vaddr = p * 4096;
-        machine.access(secure_cores[p as usize % secure_cores.len()], secure, vaddr, p % 3 == 0);
-        machine.access(
-            insecure_cores[p as usize % insecure_cores.len()],
-            insecure,
-            vaddr,
-            p % 3 == 1,
-        );
-        machine.access(secure_cores[(p as usize + 1) % secure_cores.len()], secure, vaddr, false);
-    }
-}
-
 /// Runs the directed reconfiguration storm through one protocol path and
 /// returns every observable: per-reconfiguration stall cycles, the final
 /// machine statistics, and post-storm foreign-probe latencies over the last
-/// warm window from both clusters.
+/// warm window from both clusters. Between reconfigurations the churn
+/// harness's sliding-window warm-up keeps pins, cache lines and directory
+/// entries resident and keeps fresh pages pinning onto the current shape.
 fn run_storm(reference: bool) -> (Vec<u64>, String, Vec<u64>) {
-    const SHAPES: [usize; 6] = [8, 40, 16, 56, 24, 32];
+    const TARGETS: [usize; 6] = [8, 40, 16, 56, 24, 32];
     const RECONFIGS: usize = 8;
     const WARM_PAGES: u64 = 32;
 
@@ -218,7 +194,7 @@ fn run_storm(reference: bool) -> (Vec<u64>, String, Vec<u64>) {
 
     let mut stalls = Vec::with_capacity(RECONFIGS);
     let mut last_base = 0;
-    for (i, &target) in SHAPES.iter().cycle().take(RECONFIGS).enumerate() {
+    for (i, &target) in TARGETS.iter().cycle().take(RECONFIGS).enumerate() {
         let cycles =
             manager.reconfigure(&mut machine, secure, insecure, target).expect("valid storm shape");
         stalls.push(cycles);

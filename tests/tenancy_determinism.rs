@@ -1,70 +1,23 @@
 //! Determinism and conservation properties of the multi-tenant churn
-//! subsystem, plus the cross-process pin that ties the facade's view of the
-//! tenancy grid to the `tenancy` bench binary's.
+//! subsystem, on the `tenancy` bench binary's own smoke grid.
 
 use ironhide::prelude::*;
+use ironhide_bench::experiments::{tenancy, tenancy_grid};
 use proptest::prelude::*;
 
-/// The `tenancy` binary's master seed; the cross-process pin below only
-/// holds against the grid that binary actually sweeps.
-const BENCH_MASTER_SEED: u64 = 11;
-
-/// The smoke tenancy checksum the `tenancy --smoke` binary reports (and CI
-/// pins). Recomputing it here, in a different process from a different crate,
-/// proves the matrix is a pure function of (seed, grid) — not of process
-/// layout, ASLR, linkage order or thread scheduling.
-const BENCH_SMOKE_CHECKSUM: u64 = 17845519074244044958;
-
-/// The `tenancy` binary's smoke load, replicated field for field.
-fn bench_smoke_config() -> StormConfig {
-    StormConfig {
-        tenants: 40,
-        mean_interarrival_cycles: 30_000,
-        mean_service_scale: 1,
-        host_reserve_cores: 8,
-        profiles: tenant_profiles(&AppId::ALL),
-    }
-}
-
-fn bench_smoke_grid() -> TenancyGrid {
-    let mut grid = TenancyGrid::new().with_load(LoadPoint::new("Smoke", bench_smoke_config()));
-    for policy in AdmissionPolicy::ALL {
-        grid = grid.with_policy(policy);
-    }
-    grid
-}
-
-fn run(seed: u64, threads: usize) -> TenancyMatrix {
-    SweepRunner::new(MachineConfig::paper_default())
-        .with_seed(seed)
-        .with_threads(threads)
-        .run_tenancy(&bench_smoke_grid())
-        .expect("tenancy sweep runs")
+fn run(threads: usize) -> TenancyMatrix {
+    tenancy(true, threads).expect("tenancy sweep runs")
 }
 
 /// The serialised matrix must be byte-identical at 1, 2 and 8 worker
 /// threads — the same contract the performance and attack sweeps carry.
 #[test]
 fn tenancy_matrix_is_byte_identical_across_thread_counts() {
-    let baseline = run(BENCH_MASTER_SEED, 1).to_json();
+    let baseline = run(1).to_json();
     for threads in [2usize, 8] {
-        let json = run(BENCH_MASTER_SEED, threads).to_json();
+        let json = run(threads).to_json();
         assert_eq!(baseline, json, "thread count {threads} changed the tenancy matrix");
     }
-}
-
-/// Recomputes the `tenancy --smoke` checksum from this test process. If this
-/// moves, either the storm semantics changed (update the bench pin too, with
-/// a changelog entry) or the matrix silently depends on ambient process
-/// state (a determinism bug).
-#[test]
-fn tenancy_checksum_matches_the_bench_binary_pin() {
-    let matrix = run(BENCH_MASTER_SEED, 2);
-    assert_eq!(
-        matrix.checksum(),
-        BENCH_SMOKE_CHECKSUM,
-        "tenancy smoke checksum moved — bench/CI pins must move with it"
-    );
 }
 
 /// SLO percentile fields come from exact sorted samples, so they must be
@@ -72,8 +25,8 @@ fn tenancy_checksum_matches_the_bench_binary_pin() {
 /// thread pools), not merely across thread counts.
 #[test]
 fn slo_percentiles_are_reproducible_across_independent_sweeps() {
-    let a = run(BENCH_MASTER_SEED, 4);
-    let b = run(BENCH_MASTER_SEED, 4);
+    let a = run(4);
+    let b = run(4);
     for (ca, cb) in a.cells.iter().zip(&b.cells) {
         assert_eq!(ca.key, cb.key);
         assert_eq!(ca.report.slo.checksum(), cb.report.slo.checksum(), "cell {}", ca.key);
@@ -110,7 +63,7 @@ proptest! {
     /// arbitrary seeds — not just the pinned one.
     #[test]
     fn policies_conserve_tenants(seed in 0u64..1_000_000) {
-        let config = bench_smoke_config();
+        let config = tenancy_grid(true).loads.remove(0).config;
         let mut machine = ironhide::ironhide_sim::machine::Machine::new(
             MachineConfig::paper_default(),
         );
