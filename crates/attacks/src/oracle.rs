@@ -14,12 +14,18 @@
 //! the analytical congestion estimators) are treated as carrying no signal.
 
 use ironhide_core::arch::Architecture;
-use ironhide_core::attack::{AttackOutcome, AttackRunner, ChannelVerdict, CovertChannel};
+use ironhide_core::attack::{
+    AttackOutcome, AttackRunner, AttackTrace, ChannelVerdict, CovertChannel,
+};
 use ironhide_core::runner::RunError;
 use ironhide_core::sweep::{AttackGrid, AttackSpec, ScalePoint};
 use ironhide_sim::config::MachineConfig;
 
 use crate::channels::{splitmix, ChannelKind, SPLITMIX_GAMMA};
+
+/// Per-slot probe spreads at or below this many cycles are signal-free
+/// rounding jitter from the analytical congestion estimators.
+const NOISE_FLOOR_CYCLES: u64 = 16;
 
 /// Decodes covert-channel transmissions and judges whether a channel is
 /// open, degraded or closed.
@@ -28,16 +34,15 @@ pub struct LeakageOracle {
     config: MachineConfig,
     payload_bits: usize,
     warmup_slots: usize,
-    noise_floor_cycles: u64,
 }
 
 impl LeakageOracle {
     /// Creates an oracle attacking machines built from `config`, with the
     /// smoke-scale payload (32 bits), eight warm-up slots (the analytical
     /// congestion estimators converge geometrically and need a few slots of
-    /// both symbols) and a 16-cycle noise floor.
+    /// both symbols).
     pub fn new(config: MachineConfig) -> Self {
-        LeakageOracle { config, payload_bits: 32, warmup_slots: 8, noise_floor_cycles: 16 }
+        LeakageOracle { config, payload_bits: 32, warmup_slots: 8 }
     }
 
     /// Overrides the payload length.
@@ -58,13 +63,6 @@ impl LeakageOracle {
     /// Overrides the number of unmeasured warm-up slots.
     pub fn with_warmup(mut self, slots: usize) -> Self {
         self.warmup_slots = slots;
-        self
-    }
-
-    /// Overrides the noise floor: per-slot probe spreads at or below this
-    /// many cycles are considered signal-free.
-    pub fn with_noise_floor(mut self, cycles: u64) -> Self {
-        self.noise_floor_cycles = cycles;
         self
     }
 
@@ -113,31 +111,42 @@ impl LeakageOracle {
         let runner = AttackRunner::new(self.config.clone()).with_warmup(self.warmup_slots);
         let (trace, machine) = runner.run_recycled(arch, channel, &bits, slot.take())?;
         *slot = Some(machine);
+        Ok(judge(channel.name(), arch, &bits, trace))
+    }
+}
 
-        let (decoded, threshold) = decode(&trace.probe_cycles, self.noise_floor_cycles);
-        let bit_errors = bits.iter().zip(&decoded).filter(|(sent, got)| sent != got).count() as u64;
-        let ber = bit_errors as f64 / bits.len() as f64;
-        let capacity_bits_per_slot = 1.0 - binary_entropy(ber);
-        let slot_cycles = trace.payload_cycles as f64 / bits.len() as f64;
-        let capacity_bits_per_second =
-            capacity_bits_per_slot * trace.clock_ghz * 1e9 / slot_cycles.max(1.0);
+/// Decodes the attacker's observations in `trace` against the transmitted
+/// `bits` and judges the channel: bit-error rate, binary-symmetric-channel
+/// capacity (per slot and per second of payload) and the verdict.
+pub fn judge(
+    channel: &str,
+    arch: Architecture,
+    bits: &[bool],
+    trace: AttackTrace,
+) -> AttackOutcome {
+    let (decoded, threshold) = decode(&trace.probe_cycles, NOISE_FLOOR_CYCLES);
+    let bit_errors = bits.iter().zip(&decoded).filter(|(sent, got)| sent != got).count() as u64;
+    let ber = bit_errors as f64 / bits.len() as f64;
+    let capacity_bits_per_slot = 1.0 - binary_entropy(ber);
+    let slot_cycles = trace.payload_cycles as f64 / bits.len() as f64;
+    let capacity_bits_per_second =
+        capacity_bits_per_slot * trace.clock_ghz * 1e9 / slot_cycles.max(1.0);
 
-        Ok(AttackOutcome {
-            channel: channel.name().to_string(),
-            arch,
-            payload_bits: bits.len() as u64,
-            bit_errors,
-            ber,
-            threshold_cycles: threshold,
-            min_probe_cycles: trace.probe_cycles.iter().copied().min().unwrap_or(0),
-            max_probe_cycles: trace.probe_cycles.iter().copied().max().unwrap_or(0),
-            capacity_bits_per_slot,
-            capacity_bits_per_second,
-            payload_cycles: trace.payload_cycles,
-            secure_cores: trace.secure_cores,
-            verdict: ChannelVerdict::from_ber(ber),
-            isolation: trace.isolation,
-        })
+    AttackOutcome {
+        channel: channel.to_string(),
+        arch,
+        payload_bits: bits.len() as u64,
+        bit_errors,
+        ber,
+        threshold_cycles: threshold,
+        min_probe_cycles: trace.probe_cycles.iter().copied().min().unwrap_or(0),
+        max_probe_cycles: trace.probe_cycles.iter().copied().max().unwrap_or(0),
+        capacity_bits_per_slot,
+        capacity_bits_per_second,
+        payload_cycles: trace.payload_cycles,
+        secure_cores: trace.secure_cores,
+        verdict: ChannelVerdict::from_ber(ber),
+        isolation: trace.isolation,
     }
 }
 

@@ -27,10 +27,9 @@
 //! instead, giving the usual differential: open on the insecure baseline,
 //! closed under MI6's boundary purges.
 
-use ironhide_cache::SliceId;
 use ironhide_core::arch::{ArchParams, Architecture};
-use ironhide_core::attack::{AttackOutcome, ChannelVerdict};
-use ironhide_core::boundary::mi6_boundary_cost;
+use ironhide_core::attack::{AttackOutcome, AttackTrace};
+use ironhide_core::boundary::{boundary_cost, place};
 use ironhide_core::cluster::{ClusterManager, PurgeOrder};
 use ironhide_core::isolation::IsolationAuditor;
 use ironhide_core::kernel::{AppDomain, SecureKernel};
@@ -42,7 +41,7 @@ use ironhide_sim::config::MachineConfig;
 use ironhide_sim::machine::Machine;
 use ironhide_sim::process::{ProcessId, SecurityClass};
 
-use crate::oracle::{balanced_bits, binary_entropy, decode, LeakageOracle};
+use crate::oracle::{balanced_bits, judge, LeakageOracle};
 
 /// Channel label under the shipped purge ordering.
 pub const SHIPPED_LABEL: &str = "reconfig-window";
@@ -52,10 +51,6 @@ pub const MISORDERED_LABEL: &str = "reconfig-window-misordered";
 pub const AUDITED_DROP_LABEL: &str = "reconfig-window-dropped-purge-audited";
 /// Channel label with dropped purge packets and no audit (negative control).
 pub const UNAUDITED_DROP_LABEL: &str = "reconfig-window-dropped-purge";
-
-/// Signing key of the simulated window-attack victim's author (the kernel
-/// only needs signatures to be verifiable, not secret).
-const AUTHOR_KEY: u64 = 0x0B5E_55ED_C0DE_D00D;
 
 /// Base virtual address of the victim's secret-dependent buffers.
 const VICTIM_BASE: u64 = 0x2000_0000;
@@ -110,7 +105,6 @@ pub struct WindowAttack {
     drop_rate_per_mille: u32,
     payload_bits: usize,
     warmup_slots: usize,
-    noise_floor_cycles: u64,
 }
 
 /// Mutable per-run bookkeeping threaded through the slots.
@@ -123,8 +117,6 @@ struct SlotCtx {
     wide: usize,
     /// Secure-cluster cores during the measured window.
     narrow: usize,
-    /// Pages of one victim secret burst.
-    victim_pages: u64,
     /// Pages of one attacker evict-and-sweep.
     sweep_pages: u64,
     page_bytes: u64,
@@ -144,8 +136,8 @@ struct SlotCtx {
 
 impl WindowAttack {
     /// Creates the attack for machines built from `config` under the given
-    /// purge ordering, with the smoke-scale payload (32 bits), eight warm-up
-    /// slots and the 16-cycle noise floor the stream channels use.
+    /// purge ordering, with the smoke-scale payload (32 bits) and eight
+    /// warm-up slots.
     pub fn new(config: MachineConfig, order: PurgeOrder) -> Self {
         WindowAttack {
             config,
@@ -155,7 +147,6 @@ impl WindowAttack {
             drop_rate_per_mille: 0,
             payload_bits: 32,
             warmup_slots: 8,
-            noise_floor_cycles: 16,
         }
     }
 
@@ -254,45 +245,26 @@ impl WindowAttack {
         let attacker = machine.create_process("attacker", SecurityClass::Insecure);
         let victim = machine.create_process("victim", SecurityClass::Secure);
 
-        let mut kernel = SecureKernel::new();
-        let image = format!("victim:{}", self.name()).into_bytes();
-        let signature = SecureKernel::sign(&image, AUTHOR_KEY);
-        kernel.register(victim, &image, signature, AUTHOR_KEY, AppDomain(1))?;
-        kernel.admit(victim, &image)?;
+        let image = format!("victim:{}", self.name());
+        SecureKernel::new().attest(victim, image.as_bytes(), AppDomain(1))?;
 
         let total = self.config.cores();
         let wide = (total / 2).max(1);
         let narrow = (wide / 2).max(1);
-        let mut manager: Option<ClusterManager> = None;
-        let mut secure_cores = total;
-        let (attacker_core, victim_core, victim_pages, sweep_pages) = match arch {
-            Architecture::Insecure | Architecture::SgxLike | Architecture::TemporalFence => {
-                // Shared everything: the sweep must cover every slice the
-                // victim's buffers can home on. The temporal fence shares
-                // like the insecure baseline; its flush happens per slot.
-                (NodeId(0), NodeId(total - 1), wide as u64, total as u64)
-            }
-            Architecture::Mi6 => {
-                // MI6's static partition, as in the AttackRunner: victim on
-                // the low half of the slices, attacker on the high half.
-                let low: Vec<SliceId> = (0..wide).map(SliceId).collect();
-                let high: Vec<SliceId> = (wide..total).map(SliceId).collect();
-                machine.set_process_slices(victim, &low);
-                machine.set_process_slices(attacker, &high);
-                (NodeId(0), NodeId(total - 1), wide as u64, total as u64)
-            }
-            Architecture::Ironhide => {
-                let (m, _setup) = ClusterManager::form(&mut machine, victim, attacker, wide)?;
-                secure_cores = wide;
+        let mut manager = place(&mut machine, arch, victim, attacker, wide)?;
+        let (attacker_core, victim_core, sweep_pages, secure_cores) = match &manager {
+            Some(m) => {
                 let vic = m.cores_iter(ClusterId::Secure).next().expect("non-empty cluster");
                 // The last core stays insecure at both the wide and the
                 // narrow shape, so the attacker never has to migrate.
                 let att = m.cores_iter(ClusterId::Insecure).last().expect("non-empty cluster");
-                manager = Some(m);
-                // One burst page per wide secure slice; the sweep covers
-                // every slice the insecure cluster owns at the narrow shape.
-                (att, vic, wide as u64, (total - narrow) as u64)
+                // The sweep covers every slice the insecure cluster owns at
+                // the narrow shape.
+                (att, vic, (total - narrow) as u64, wide)
             }
+            // Shared cores: the sweep must cover every slice the victim's
+            // buffers can home on.
+            None => (NodeId(0), NodeId(total - 1), total as u64, total),
         };
 
         // The fault arms only after formation: drops model packets lost
@@ -310,7 +282,6 @@ impl WindowAttack {
             victim_core,
             wide,
             narrow,
-            victim_pages,
             sweep_pages,
             page_bytes: machine.page_bytes(),
             line_bytes: self.config.l2_slice.line_bytes as u64,
@@ -354,37 +325,20 @@ impl WindowAttack {
             };
         }
 
-        let spec = SpeculativeAccessCheck::new();
-        let isolation = IsolationAuditor::new().audit(&machine, arch, &spec);
+        let isolation =
+            IsolationAuditor::new().audit(&machine, arch, &SpeculativeAccessCheck::new());
         *slot = Some(machine);
 
-        let (decoded, threshold) = decode(&probe_cycles, self.noise_floor_cycles);
-        let bit_errors = bits.iter().zip(&decoded).filter(|(sent, got)| sent != got).count() as u64;
-        let ber = bit_errors as f64 / bits.len() as f64;
-        let capacity_bits_per_slot = 1.0 - binary_entropy(ber);
-        let slot_cycles = payload_cycles as f64 / bits.len() as f64;
-        let capacity_bits_per_second =
-            capacity_bits_per_slot * self.config.clock_ghz * 1e9 / slot_cycles.max(1.0);
-
-        Ok((
-            AttackOutcome {
-                channel: self.name().to_string(),
-                arch,
-                payload_bits: bits.len() as u64,
-                bit_errors,
-                ber,
-                threshold_cycles: threshold,
-                min_probe_cycles: probe_cycles.iter().copied().min().unwrap_or(0),
-                max_probe_cycles: probe_cycles.iter().copied().max().unwrap_or(0),
-                capacity_bits_per_slot,
-                capacity_bits_per_second,
-                payload_cycles,
-                secure_cores,
-                verdict: ChannelVerdict::from_ber(ber),
-                isolation,
-            },
-            audit,
-        ))
+        let trace = AttackTrace {
+            probe_cycles,
+            payload_cycles,
+            clock_ghz: self.config.clock_ghz,
+            attacker_core,
+            victim_core,
+            secure_cores,
+            isolation,
+        };
+        Ok((judge(self.name(), arch, &bits, trace), audit))
     }
 
     /// One transmission slot. Returns `(probe_cycles, slot_cycles)` where
@@ -401,16 +355,18 @@ impl WindowAttack {
         let mut total = 0u64;
 
         // The secret-dependent burst: dirty-write a fresh buffer spread over
-        // the victim's current slices. A 0 transmits by staying idle.
+        // the victim's current slices, one page per wide secure slice. A 0
+        // transmits by staying idle.
         if bit {
-            let base = VICTIM_BASE + ctx.bursts * ctx.victim_pages * ctx.page_bytes;
+            let pages = ctx.wide as u64;
+            let base = VICTIM_BASE + ctx.bursts * pages * ctx.page_bytes;
             ctx.bursts += 1;
             total += touch_pages(
                 machine,
                 ctx.victim_core,
                 ctx.victim,
                 base,
-                ctx.victim_pages,
+                pages,
                 ctx.page_bytes,
                 ctx.line_bytes,
                 true,
@@ -467,21 +423,7 @@ impl WindowAttack {
         } else {
             // Temporally shared architectures: no reconfiguration exists, so
             // the sweep simply runs after the victim's secure phase ends.
-            total += match arch {
-                Architecture::Insecure => 0,
-                Architecture::SgxLike => {
-                    machine.clock().us_to_cycles(self.params.sgx_entry_exit_us)
-                }
-                Architecture::Mi6 => mi6_boundary_cost(machine, &self.params),
-                Architecture::Ironhide => unreachable!("IRONHIDE slots go through the manager"),
-                // The temporal fence's domain switch: erase the configured
-                // flush set, charge its state-independent worst-case cost.
-                Architecture::TemporalFence => {
-                    let fence = self.config.temporal_fence;
-                    machine.temporal_flush(fence.set);
-                    fence.switch_cost(&self.config)
-                }
-            };
+            total += boundary_cost(machine, arch, &self.config, &self.params);
             let probe = touch_pages(
                 machine,
                 ctx.attacker_core,

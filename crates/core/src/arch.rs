@@ -6,7 +6,9 @@ use std::fmt;
 ///
 /// These correspond to the four systems of Figure 1(a) and Figure 6:
 /// the insecure baseline every result is normalised against, the SGX-like
-/// enclave model, the multicore MI6 baseline and IRONHIDE.
+/// enclave model, the multicore MI6 baseline and IRONHIDE. Where each
+/// places its processes and what one boundary crossing costs are defined
+/// once, in [`crate::boundary`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Architecture {
     /// No security primitives: processes context switch freely, caches and
@@ -57,18 +59,6 @@ impl Architecture {
         matches!(self, Architecture::Mi6 | Architecture::Ironhide)
     }
 
-    /// Whether the architecture purges private microarchitecture state on
-    /// every enclave entry/exit.
-    pub fn purges_on_entry_exit(self) -> bool {
-        matches!(self, Architecture::Mi6)
-    }
-
-    /// Whether the architecture pays the SGX-style constant enclave
-    /// entry/exit cost (pipeline flush + enclave crypto/integrity).
-    pub fn pays_enclave_crypto(self) -> bool {
-        matches!(self, Architecture::SgxLike | Architecture::Mi6)
-    }
-
     /// Whether secure and insecure processes execute on spatially disjoint
     /// clusters of cores.
     pub fn spatial_clusters(self) -> bool {
@@ -79,15 +69,6 @@ impl Architecture {
     /// regions is active.
     pub fn speculative_check(self) -> bool {
         self.strong_isolation()
-    }
-
-    /// Whether the architecture flushes microarchitectural state at domain
-    /// switches under a configurable temporal fence (the time-protection
-    /// family). Orthogonal to [`Architecture::strong_isolation`]: the fence
-    /// partitions *time*, not space, so every spatial predicate above is
-    /// false for it.
-    pub fn temporal_fence(self) -> bool {
-        matches!(self, Architecture::TemporalFence)
     }
 }
 
@@ -142,12 +123,6 @@ mod tests {
         assert!(Architecture::Mi6.strong_isolation());
         assert!(Architecture::Ironhide.strong_isolation());
 
-        assert!(Architecture::Mi6.purges_on_entry_exit());
-        assert!(!Architecture::Ironhide.purges_on_entry_exit());
-
-        assert!(Architecture::SgxLike.pays_enclave_crypto());
-        assert!(!Architecture::Ironhide.pays_enclave_crypto());
-
         assert!(Architecture::Ironhide.spatial_clusters());
         assert!(!Architecture::Mi6.spatial_clusters());
 
@@ -159,17 +134,12 @@ mod tests {
     #[test]
     fn temporal_fence_is_purely_temporal() {
         let f = Architecture::TemporalFence;
-        assert!(f.temporal_fence());
-        // Every spatial/boundary predicate is off: the fence shares all
-        // resources like the insecure baseline and defends only in time.
+        // Every spatial predicate is off: the fence shares all resources
+        // like the insecure baseline and defends only in time.
         assert!(!f.strong_isolation());
-        assert!(!f.purges_on_entry_exit());
-        assert!(!f.pays_enclave_crypto());
         assert!(!f.spatial_clusters());
         assert!(!f.speculative_check());
-        for a in Architecture::ALL {
-            assert!(!a.temporal_fence());
-        }
+        assert!(!Architecture::ALL.contains(&f));
     }
 
     #[test]

@@ -10,13 +10,14 @@
 //! the bits from the latencies of its own probe accesses.
 //!
 //! [`AttackRunner`] co-schedules such a pair on one simulated machine under
-//! any of the four execution architectures, reusing the exact machinery the
+//! any of the execution architectures, reusing the exact machinery the
 //! performance experiments use: the [`SecureKernel`] attests the victim
-//! before it may run, the [`ClusterManager`] pins the pair to distrusting
-//! clusters under IRONHIDE, and MI6's enclave boundaries purge private state,
-//! controller queues and the network. Probe latencies are observed through
-//! the machine's [`LatencyTrace`](ironhide_sim::trace::LatencyTrace) hook —
-//! the attacker sees nothing a real attacker could not time.
+//! before it may run, and [`crate::boundary`] places the pair (distrusting
+//! clusters under IRONHIDE) and prices every boundary crossing (MI6 purges
+//! private state, controller queues and the network). Probe latencies are
+//! observed through the machine's
+//! [`LatencyTrace`](ironhide_sim::trace::LatencyTrace) hook — the attacker
+//! sees nothing a real attacker could not time.
 //!
 //! The decoding side (bit recovery, bit-error rate, channel capacity) lives
 //! in the `ironhide-attacks` crate's `LeakageOracle`; its result is the
@@ -24,7 +25,6 @@
 
 use std::fmt;
 
-use ironhide_cache::SliceId;
 use ironhide_mesh::{ClusterId, NodeId};
 use ironhide_sim::config::MachineConfig;
 use ironhide_sim::machine::Machine;
@@ -32,16 +32,11 @@ use ironhide_sim::process::{ProcessId, SecurityClass};
 
 use crate::app::RefStream;
 use crate::arch::{ArchParams, Architecture};
-use crate::boundary::mi6_boundary_cost;
-use crate::cluster::ClusterManager;
+use crate::boundary::{boundary_cost, place};
 use crate::isolation::{IsolationAuditor, IsolationSummary};
 use crate::kernel::{AppDomain, SecureKernel};
 use crate::runner::{issue_run, RunError};
 use crate::speccheck::SpeculativeAccessCheck;
-
-/// Signing key of the simulated attack-victim author (the kernel only needs
-/// signatures to be verifiable, not secret).
-const AUTHOR_KEY: u64 = 0x0A77_ACC0_5EC4_E701;
 
 /// How the attacker and victim are co-scheduled under the temporally shared
 /// architectures (Insecure, SGX, MI6). Under IRONHIDE placement is always
@@ -290,42 +285,25 @@ impl AttackRunner {
         // The victim is a secure process: it must attest before the secure
         // kernel lets it execute. The attacker is unattested insecure code in
         // a foreign trust domain — by construction mutually distrusting.
-        let mut kernel = SecureKernel::new();
-        let image = format!("victim:{}", channel.name()).into_bytes();
-        let signature = SecureKernel::sign(&image, AUTHOR_KEY);
-        kernel.register(victim, &image, signature, AUTHOR_KEY, AppDomain(1))?;
-        kernel.admit(victim, &image)?;
+        let image = format!("victim:{}", channel.name());
+        SecureKernel::new().attest(victim, image.as_bytes(), AppDomain(1))?;
 
+        // Under IRONHIDE each side issues from the first core of its own
+        // cluster; otherwise they time-share the machine as the channel
+        // prefers.
         let total = self.config.cores();
-        let mut secure_cores = total;
-        let (attacker_core, victim_core) = match arch {
-            // The temporal fence places like the insecure baseline — every
-            // resource shared — and defends only at the slot's boundary
-            // crossings (see AttackRunner::boundary).
-            Architecture::Insecure | Architecture::SgxLike | Architecture::TemporalFence => {
-                (NodeId(0), self.temporal_victim_core(channel))
-            }
-            Architecture::Mi6 => {
-                // MI6's static partition: the secure process homes its pages
-                // on the low half of the slices, the insecure one on the high
-                // half; cores remain time-shared.
-                let half = (total / 2).max(1);
-                let low: Vec<SliceId> = (0..half).map(SliceId).collect();
-                let high: Vec<SliceId> = (half..total).map(SliceId).collect();
-                machine.set_process_slices(victim, &low);
-                machine.set_process_slices(attacker, &high);
-                (NodeId(0), self.temporal_victim_core(channel))
-            }
-            Architecture::Ironhide => {
-                let half = (total / 2).max(1);
-                let (manager, _setup) = ClusterManager::form(&mut machine, victim, attacker, half)?;
-                secure_cores = half;
-                let vic = manager.cores_iter(ClusterId::Secure).next().expect("non-empty cluster");
-                let att =
-                    manager.cores_iter(ClusterId::Insecure).next().expect("non-empty cluster");
-                (att, vic)
-            }
-        };
+        let half = (total / 2).max(1);
+        let (attacker_core, victim_core, secure_cores) =
+            match place(&mut machine, arch, victim, attacker, half)? {
+                Some(manager) => {
+                    let first = |cluster| manager.cores_iter(cluster).next().expect("non-empty");
+                    (first(ClusterId::Insecure), first(ClusterId::Secure), half)
+                }
+                None => match channel.placement() {
+                    ChannelPlacement::SharedCore => (NodeId(0), NodeId(0), total),
+                    ChannelPlacement::DistinctCores => (NodeId(0), NodeId(total - 1), total),
+                },
+            };
 
         machine.enable_latency_trace(channel.probe().len().max(1));
         let mut spec = SpeculativeAccessCheck::new();
@@ -361,15 +339,6 @@ impl AttackRunner {
         ))
     }
 
-    /// The victim's core under the temporally shared architectures, honouring
-    /// the channel's placement preference.
-    fn temporal_victim_core(&self, channel: &dyn CovertChannel) -> NodeId {
-        match channel.placement() {
-            ChannelPlacement::SharedCore => NodeId(0),
-            ChannelPlacement::DistinctCores => NodeId(self.config.cores() - 1),
-        }
-    }
-
     /// Runs one transmission slot and returns `(probe_cycles, slot_cycles)`.
     fn slot(
         &self,
@@ -385,10 +354,10 @@ impl AttackRunner {
         // 1. The attacker primes the monitored structure.
         total += state.issue(state.attacker, attacker_core, channel.prime(), arch, true);
 
-        // 2. The victim enters its secure phase. MI6 purges at the boundary;
-        //    the other architectures cross it for free or for a constant
-        //    crypto cost.
-        total += self.boundary(&mut state.machine, arch);
+        // 2. The victim enters its secure phase, crossing the same boundary
+        //    the performance runner prices: MI6 purges, the fence flushes,
+        //    the others cross for free or for a constant crypto cost.
+        total += boundary_cost(&mut state.machine, arch, &self.config, &self.params);
 
         // 3. The fixed interaction protocol: the victim touches the shared
         //    IPC region (insecure memory) identically every slot, so the
@@ -403,7 +372,7 @@ impl AttackRunner {
         }
 
         // 5. The victim leaves its secure phase.
-        total += self.boundary(&mut state.machine, arch);
+        total += boundary_cost(&mut state.machine, arch, &self.config, &self.params);
 
         // 6. The attacker probes, observing only its own access latencies
         //    through the machine's latency-trace hook.
@@ -416,28 +385,6 @@ impl AttackRunner {
         debug_assert_eq!(probe, issued, "latency trace must observe exactly the probe stream");
         total += probe;
         (probe, total)
-    }
-
-    /// The cost of one secure-phase boundary crossing under `arch`. MI6
-    /// charges the shared boundary model of [`crate::boundary`] — the same
-    /// purge-everything fence the performance runner charges, so the machine
-    /// the attacks run against is exactly the machine the figures price.
-    fn boundary(&self, machine: &mut Machine, arch: Architecture) -> u64 {
-        let clock = machine.clock();
-        match arch {
-            Architecture::Insecure | Architecture::Ironhide => 0,
-            Architecture::SgxLike => clock.us_to_cycles(self.params.sgx_entry_exit_us),
-            Architecture::Mi6 => mi6_boundary_cost(machine, &self.params),
-            // The temporal fence's domain switch: erase the configured flush
-            // set and charge its state-independent worst-case cost. The
-            // policy comes from the runner's config (the per-cell ablation
-            // config), never the recycled machine's stored copy.
-            Architecture::TemporalFence => {
-                let fence = self.config.temporal_fence;
-                machine.temporal_flush(fence.set);
-                fence.switch_cost(&self.config)
-            }
-        }
     }
 }
 

@@ -377,8 +377,8 @@ impl FaultMatrix {
         })
     }
 
-    /// FNV-1a over the serialised matrix — the single number CI pins for the
-    /// whole campaign.
+    /// FNV-1a over the serialised matrix — the single number `tests/pins.rs`
+    /// pins for the whole campaign.
     pub fn checksum(&self) -> u64 {
         fnv1a(self.to_json().into_bytes())
     }

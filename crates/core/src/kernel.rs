@@ -13,6 +13,11 @@ use std::fmt;
 
 use ironhide_sim::process::ProcessId;
 
+/// Signing key of the simulated enclave author every runner attests its
+/// secure processes with. The kernel only needs signatures to be
+/// *verifiable* inside the simulation, not secret.
+const AUTHOR_KEY: u64 = 0x1234_5678_9ABC_DEF0;
+
 /// A measurement (hash) of a process image, as produced by attestation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Measurement(pub u64);
@@ -148,6 +153,25 @@ impl SecureKernel {
         Ok(())
     }
 
+    /// Attests a secure process end to end: signs `image` with the enclave
+    /// author's key, [registers](SecureKernel::register) it in `domain` and
+    /// [admits](SecureKernel::admit) it. Touches no machine state.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`AttestationError`] if registration or admission fails.
+    pub fn attest(
+        &mut self,
+        pid: ProcessId,
+        image: &[u8],
+        domain: AppDomain,
+    ) -> Result<Measurement, AttestationError> {
+        let measurement =
+            self.register(pid, image, Self::sign(image, AUTHOR_KEY), AUTHOR_KEY, domain)?;
+        self.admit(pid, image)?;
+        Ok(measurement)
+    }
+
     /// Whether `pid` has been admitted to the secure cluster.
     pub fn is_admitted(&self, pid: ProcessId) -> bool {
         self.admitted.contains(&pid)
@@ -241,8 +265,9 @@ mod tests {
         let mut k = SecureKernel::new();
         for (pid, domain) in [(1usize, 10u64), (2, 10), (3, 11)] {
             let img = format!("proc{pid}");
-            let sig = SecureKernel::sign(img.as_bytes(), KEY);
-            k.register(ProcessId(pid), img.as_bytes(), sig, KEY, AppDomain(domain)).unwrap();
+            let m = k.attest(ProcessId(pid), img.as_bytes(), AppDomain(domain)).unwrap();
+            assert_eq!(k.measurement_of(ProcessId(pid)), Some(m));
+            assert!(k.is_admitted(ProcessId(pid)));
         }
         assert_eq!(
             k.trust_relation(ProcessId(1), ProcessId(2)).unwrap(),

@@ -13,6 +13,9 @@
 //!   protection), which flushes a chosen subset of shared state at every
 //!   domain switch and is swept by its own {flush subset × channel}
 //!   [`sweep::AblationGrid`].
+//! * [`boundary`] — the architecture model every runner calls: where the
+//!   secure and insecure processes run ([`boundary::place`]) and what one
+//!   boundary crossing costs ([`boundary::boundary_cost`]).
 //! * [`kernel`] — the light-weight secure kernel: measurement-based
 //!   attestation and the mutually-trusting / mutually-distrusting process
 //!   rules of Section III.

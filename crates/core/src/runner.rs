@@ -9,7 +9,6 @@
 
 use std::fmt;
 
-use ironhide_cache::SliceId;
 use ironhide_mesh::{ClusterId, NodeId};
 use ironhide_sim::config::MachineConfig;
 use ironhide_sim::machine::Machine;
@@ -17,17 +16,13 @@ use ironhide_sim::process::{ProcessId, SecurityClass};
 
 use crate::app::{Interaction, InteractiveApp, ProcessProfile, RefRun, RefStream, WorkUnit};
 use crate::arch::{ArchParams, Architecture};
-use crate::boundary::mi6_boundary_cost;
+use crate::boundary::{boundary_cost, place};
 use crate::cluster::{ClusterError, ClusterManager};
 use crate::ipc::SharedIpcBuffer;
 use crate::isolation::{IsolationAuditor, IsolationSummary};
 use crate::kernel::{AppDomain, AttestationError, SecureKernel};
 use crate::realloc::ReallocPolicy;
 use crate::speccheck::SpeculativeAccessCheck;
-
-/// Signing key of the simulated enclave author. The kernel only needs
-/// signatures to be *verifiable* inside the simulation, not secret.
-const AUTHOR_KEY: u64 = 0x1234_5678_9ABC_DEF0;
 
 /// Errors produced while running an experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -420,39 +415,18 @@ impl ExperimentRunner {
 
         // Attest the secure process before it is allowed to execute under any
         // enclave-capable architecture.
-        let mut kernel = SecureKernel::new();
-        let image = secure_profile.name.clone().into_bytes();
-        let signature = SecureKernel::sign(&image, AUTHOR_KEY);
-        kernel.register(secure, &image, signature, AUTHOR_KEY, AppDomain(1))?;
-        kernel.admit(secure, &image)?;
+        SecureKernel::new().attest(secure, secure_profile.name.as_bytes(), AppDomain(1))?;
 
-        let total = self.config.cores();
-        let all_cores: Vec<NodeId> = (0..total).map(NodeId).collect();
-        let mut cluster = None;
-        let (secure_cores_vec, insecure_cores_vec) = match arch {
-            // The temporal fence shares all cores and slices exactly like the
-            // insecure baseline — its defence happens at boundary crossings
-            // (see boundary_cost), not in the placement.
-            Architecture::Insecure | Architecture::SgxLike | Architecture::TemporalFence => {
-                (all_cores.clone(), all_cores.clone())
+        // Each process issues from its own cluster, or from every core when
+        // the architecture time-shares them.
+        let cluster = place(&mut machine, arch, secure, insecure, secure_cores)?;
+        let (secure_cores_vec, insecure_cores_vec) = match &cluster {
+            Some(manager) => {
+                (manager.cores_of(ClusterId::Secure), manager.cores_of(ClusterId::Insecure))
             }
-            Architecture::Mi6 => {
-                // Static partitioning of the shared L2 slices (half each, as in
-                // the paper's 32/32 example); cores remain time-shared.
-                let half = (total / 2).max(1);
-                let low: Vec<SliceId> = (0..half).map(SliceId).collect();
-                let high: Vec<SliceId> = (half..total).map(SliceId).collect();
-                machine.set_process_slices(secure, &low);
-                machine.set_process_slices(insecure, &high);
-                (all_cores.clone(), all_cores.clone())
-            }
-            Architecture::Ironhide => {
-                let (manager, _setup) =
-                    ClusterManager::form(&mut machine, secure, insecure, secure_cores)?;
-                let s = manager.cores_of(ClusterId::Secure);
-                let i = manager.cores_of(ClusterId::Insecure);
-                cluster = Some(manager);
-                (s, i)
+            None => {
+                let all_cores: Vec<NodeId> = (0..self.config.cores()).map(NodeId).collect();
+                (all_cores.clone(), all_cores)
             }
         };
 
@@ -486,7 +460,7 @@ impl ExperimentRunner {
         run.machine.set_ipc_marker(false);
 
         // 3. Enclave entry.
-        let t_entry = self.boundary_cost(run, arch);
+        let t_entry = boundary_cost(&mut run.machine, arch, &self.config, &self.params);
 
         // 4. The secure process reads the input from the shared buffer. The
         //    buffer is insecure data, so the accesses are issued against the
@@ -501,44 +475,10 @@ impl ExperimentRunner {
         let t_consume = self.exec_unit(run, Issuer::Secure, &interaction.secure, arch);
 
         // 6. Enclave exit.
-        let t_exit = self.boundary_cost(run, arch);
+        let t_exit = boundary_cost(&mut run.machine, arch, &self.config, &self.params);
 
         run.compute_cycles += t_produce + t_ipc_write + t_ipc_read + t_consume;
         run.overhead_cycles += t_entry + t_exit;
-    }
-
-    /// The cost of crossing the secure/insecure boundary once (entry or exit).
-    fn boundary_cost(&self, run: &mut RunState, arch: Architecture) -> u64 {
-        let clock = run.machine.clock();
-        match arch {
-            // Ordinary shared-memory interaction: the producer and consumer
-            // are already resident, nothing is flushed.
-            Architecture::Insecure => 0,
-            // The HotCalls-measured enclave transition cost (pipeline flush,
-            // enclave data crypto and integrity checks), modelled as the
-            // paper does by a constant ~5 us.
-            Architecture::SgxLike => clock.us_to_cycles(self.params.sgx_entry_exit_us),
-            // The shared MI6 boundary: SGX transition cost plus the
-            // strong-isolation purge of all time-shared private state, the
-            // memory-controller queues and the in-flight network state —
-            // the same model the attack runner charges (see
-            // crate::boundary).
-            Architecture::Mi6 => mi6_boundary_cost(&mut run.machine, &self.params),
-            // Pinned clusters interact through shared memory without enclave
-            // transitions; the IPC traffic itself is already accounted for.
-            Architecture::Ironhide => 0,
-            // The temporal fence: functionally erase the configured flush
-            // set, then charge the state-independent worst-case flush cost
-            // (the flush pads to capacity so its duration cannot itself leak
-            // — see ironhide_sim::fence). The policy is read from the
-            // runner's own config, never from the possibly-recycled
-            // machine's stored copy.
-            Architecture::TemporalFence => {
-                let fence = self.config.temporal_fence;
-                run.machine.temporal_flush(fence.set);
-                fence.switch_cost(&self.config)
-            }
-        }
     }
 
     fn exec_unit(

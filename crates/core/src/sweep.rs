@@ -677,8 +677,10 @@ pub struct AttackCell {
 pub type AttackMatrix = Matrix<AttackCell>;
 
 impl AttackMatrix {
-    /// BER below which a channel must decode on the insecure baseline for the
-    /// differential security claim to hold.
+    /// Effective BER (`min(ber, 1 − ber)`, as
+    /// [`ChannelVerdict::from_ber`](crate::attack::ChannelVerdict::from_ber)
+    /// judges it) below which a channel must decode on the insecure baseline
+    /// for the differential security claim to hold.
     pub const BASELINE_MAX_BER: f64 = 0.10;
 
     /// Looks up one cell.
@@ -690,8 +692,9 @@ impl AttackMatrix {
 
     /// Checks the differential security claim over every (channel, scale)
     /// pair for which both the insecure baseline and IRONHIDE are present:
-    /// the channel must demonstrably *work* on the shared baseline (BER below
-    /// [`AttackMatrix::BASELINE_MAX_BER`], verdict open) and be
+    /// the channel must demonstrably *work* on the shared baseline (verdict
+    /// open, effective BER below [`AttackMatrix::BASELINE_MAX_BER`] — an
+    /// inverted-polarity decode near BER 1.0 is a working channel) and be
     /// indistinguishable from guessing under IRONHIDE (verdict closed, with a
     /// clean isolation audit). Returns a description of each violation
     /// (empty = the claim holds).
@@ -704,7 +707,8 @@ impl AttackMatrix {
             ) else {
                 continue;
             };
-            if !(open.outcome.is_open() && open.outcome.ber < Self::BASELINE_MAX_BER) {
+            let effective_ber = open.outcome.ber.min(1.0 - open.outcome.ber);
+            if !(open.outcome.is_open() && effective_ber < Self::BASELINE_MAX_BER) {
                 violations.push(format!(
                     "{channel} @{scale}: does not decode on the insecure baseline \
                      (BER {:.3}, verdict {}) — the channel itself is broken",
@@ -967,8 +971,9 @@ impl AblationMatrix {
         violations
     }
 
-    /// FNV-1a over the serialised matrix — the single number CI pins for the
-    /// whole ablation (same scheme as the fault campaign's checksum).
+    /// FNV-1a over the serialised matrix — the single number `tests/pins.rs`
+    /// pins for the whole ablation (same scheme as the fault campaign's
+    /// checksum).
     pub fn checksum(&self) -> u64 {
         fnv1a(self.to_json().into_bytes())
     }
@@ -1721,6 +1726,25 @@ mod tests {
         for violation in matrix.differential_violations() {
             assert!(violation.contains("fake-channel"));
         }
+    }
+
+    #[test]
+    fn inverted_polarity_baseline_is_a_working_channel() {
+        // 16 of 16 bits wrong on the baseline is a perfect inverted decode;
+        // 8 of 16 is guessing, so the channel itself is broken.
+        let baseline_broken = |errors| {
+            let (config, scale) = (MachineConfig::small_test(), ScalePoint::new("Smoke"));
+            let cell = |arch, errors| AttackCell {
+                key: AttackCellKey { channel: "c".into(), arch, scale: "Smoke".into() },
+                seed: 0,
+                outcome: fake_outcome(&config, arch, &scale, 0, errors, 0),
+            };
+            let cells = vec![cell(Architecture::Insecure, errors), cell(Architecture::Ironhide, 8)];
+            let matrix = AttackMatrix { master_seed: 0, cells };
+            matrix.differential_violations().iter().any(|v| v.contains("insecure baseline"))
+        };
+        assert!(!baseline_broken(16));
+        assert!(baseline_broken(8));
     }
 
     fn synthetic_ablation_grid() -> AblationGrid {

@@ -40,10 +40,6 @@ use crate::fnv1a;
 use crate::kernel::{AppDomain, SecureKernel};
 use crate::sweep::{json_fields, json_string, CellError, Matrix, MatrixRow, SweepRunner};
 
-/// The enclave author key tenants sign their images with (the tenancy
-/// counterpart of the attack harness's victim key).
-const TENANT_AUTHOR_KEY: u64 = 0x7E4A_47C0_FFEE_D00D;
-
 /// The resource shape of one tenant class: how many secure cores it asks for
 /// and how much service (in core·cycles) a mean-sized instance needs before
 /// it departs. The workloads crate maps each paper application to a profile,
@@ -257,7 +253,7 @@ impl SloAccount {
     }
 
     /// FNV-1a over the completion samples then the stall samples (in
-    /// recording order) — the byte-stable checksum CI pins.
+    /// recording order) — the byte-stable checksum `tests/pins.rs` pins.
     pub fn checksum(&self) -> u64 {
         fnv1a(self.completion_cycles.iter().chain(&self.stall_cycles).flat_map(|s| s.to_le_bytes()))
     }
@@ -651,18 +647,8 @@ impl<'a> TenancyStorm<'a> {
                 // attestation happens before any admission decision.
                 let image =
                     format!("tenant:{}:{}", a.tenant, self.config.profiles[a.profile].label);
-                let signature = SecureKernel::sign(image.as_bytes(), TENANT_AUTHOR_KEY);
                 let pid = ironhide_sim::process::ProcessId(1000 + a.tenant as usize);
-                kernel
-                    .register(
-                        pid,
-                        image.as_bytes(),
-                        signature,
-                        TENANT_AUTHOR_KEY,
-                        AppDomain(a.tenant),
-                    )
-                    .expect("tenant image signature verifies");
-                kernel.admit(pid, image.as_bytes()).expect("tenant measurement is stable");
+                kernel.attest(pid, image.as_bytes(), AppDomain(a.tenant)).expect("tenant attests");
                 attested += 1;
 
                 let demand = a.demand_cores.min(effective_capacity);
@@ -964,7 +950,7 @@ impl TenancyMatrix {
     }
 
     /// FNV-1a over every cell's SLO checksum, in grid order — the single
-    /// number CI pins for the whole matrix.
+    /// number `tests/pins.rs` pins for the whole matrix.
     pub fn checksum(&self) -> u64 {
         fnv1a(self.cells.iter().flat_map(|cell| cell.report.slo.checksum().to_le_bytes()))
     }

@@ -88,9 +88,8 @@ fn mutually_distrusting_admissions_require_purges_between_them() {
     for (pid, domain, image) in
         [(1usize, 7u64, &b"app A worker 1"[..]), (2, 7, b"app A worker 2"), (3, 8, b"app B")]
     {
-        let sig = SecureKernel::sign(image, KEY);
-        kernel.register(ProcessId(pid), image, sig, KEY, AppDomain(domain)).expect("registers");
-        kernel.admit(ProcessId(pid), image).expect("admits");
+        kernel.attest(ProcessId(pid), image, AppDomain(domain)).expect("attests");
+        assert!(kernel.is_admitted(ProcessId(pid)));
     }
 
     // Same interactive application: co-execution without purging.
