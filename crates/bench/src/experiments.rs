@@ -1,4 +1,5 @@
-//! The experiments the `BENCH_*.json` binaries run, each defined once.
+//! The experiments the `BENCH_*.json` binaries and the `paper_figures`
+//! bench run, each defined once.
 //!
 //! An experiment is a machine, a master seed and a grid. `smoke` selects the
 //! small grid CI runs; otherwise the full grid the committed `BENCH_*.json`
@@ -6,6 +7,8 @@
 //! reports, and `tests/pins.rs` runs the same definitions to pin their
 //! checksums, so the two can never drift apart. The master seeds are fixed
 //! forever: changing one makes its checksum incomparable across builds.
+//! Likewise `paper_figures` and `tests/fidelity.rs` run the one [`paper`]
+//! sweep.
 
 use std::time::{Duration, Instant};
 
@@ -67,6 +70,31 @@ pub fn baseline(smoke: bool, threads: usize) -> Result<SweepMatrix, SweepError> 
 /// cycles of every cell.
 pub fn simulated_cycles_total(matrix: &SweepMatrix) -> u64 {
     matrix.cells.iter().map(|c| c.report.total_cycles).sum()
+}
+
+/// The paper's figures at Paper scale on the paper's machine, at `threads`
+/// workers. The heuristic grid, every application under every architecture
+/// (36 cells), holds Figures 1, 6 and 7. With `policies`, IRONHIDE under
+/// Static and Figure 8's other decisions follows it in the same matrix (72
+/// cells) for Figure 8 and the static-isolation ablation. The paper's
+/// applications ignore the cell seed, so the default master seed stands.
+///
+/// # Errors
+///
+/// The first cell that failed, in grid order.
+pub fn paper(policies: bool, threads: usize) -> Result<SweepMatrix, SweepError> {
+    let runner = SweepRunner::new(MachineConfig::paper_default()).with_threads(threads);
+    let run = |archs: &[Architecture], decisions: &[ReallocPolicy]| {
+        runner.run(&sweep_grid(&AppId::ALL, archs, decisions, &[ScaleFactor::Paper]))
+    };
+    let mut matrix = run(&Architecture::ALL, &[ReallocPolicy::Heuristic])?;
+    if policies {
+        let mut others = ReallocPolicy::figure8_set();
+        others.retain(|p| *p != ReallocPolicy::Heuristic);
+        others.push(ReallocPolicy::Static);
+        matrix.cells.extend(run(&[Architecture::Ironhide], &others)?.cells);
+    }
+    Ok(matrix)
 }
 
 /// A tenant storm over the paper's nine applications with eight cores

@@ -1,94 +1,27 @@
 //! # ironhide-bench
 //!
-//! The benchmark harness that regenerates the paper's figures. Each figure
-//! has its own `harness = false` bench target that runs the relevant
-//! experiment sweep and prints the same rows/series the paper reports:
+//! The benchmark harness that regenerates the paper's figures. Its bench
+//! targets (`harness = false`):
 //!
-//! * `fig1_overview` — Figure 1(a): normalised geometric-mean completion time
-//!   of SGX, MI6 and IRONHIDE relative to an insecure baseline.
-//! * `fig6_completion_time` — Figure 6: per-application completion time broken
-//!   into compute and enclave/purge overhead, plus the secure-cluster core
-//!   counts and the user/OS/overall geometric means.
-//! * `fig7_miss_rates` — Figure 7: private L1 and shared L2 miss rates under
-//!   MI6 and IRONHIDE.
-//! * `fig8_heuristic` — Figure 8: sensitivity of IRONHIDE to the core
-//!   re-allocation decision (Heuristic, Optimal, fixed ±x% variations).
-//! * `ablation_isolation` — ablations of IRONHIDE's design choices (static vs.
-//!   dynamic hardware isolation).
+//! * `paper_figures` — Figures 1(a), 6, 7 and 8 and the static-isolation
+//!   ablation from one Paper-scale sweep ([`experiments::paper`]), printed
+//!   after the scorecard that sets each of the paper's reference values
+//!   beside its reproduction.
 //! * `micro_primitives` — Criterion microbenchmarks of the purge and IPC
 //!   primitives backing the per-event costs quoted in Section V.
+//! * `attack_channels` — Criterion microbenchmarks of the covert channels.
 //!
-//! This library crate holds the shared sweep/reporting helpers, the
-//! [`experiments`] the `BENCH_*.json` binaries run, and the harness pieces
-//! those binaries share: the N-thread byte-identity gate, peak RSS and the
-//! host's core count.
+//! This library crate holds the table printers, the [`experiments`] the
+//! `paper_figures` bench and the `BENCH_*.json` binaries run, and the
+//! harness pieces those binaries share: the N-thread byte-identity gate,
+//! peak RSS and the host's core count.
 
 use std::fmt::Display;
 use std::time::Instant;
 
-use ironhide_core::arch::{ArchParams, Architecture};
-use ironhide_core::realloc::ReallocPolicy;
-use ironhide_core::runner::{CompletionReport, ExperimentRunner};
 use ironhide_core::sweep::{Matrix, MatrixRow};
-use ironhide_sim::config::MachineConfig;
-use ironhide_workloads::app::{AppId, ScaleFactor};
 
 pub mod experiments;
-
-// The single definition lives in the sweep harness; re-exported here so the
-// figure benches keep their historical `ironhide_bench::geometric_mean` path.
-pub use ironhide_core::sweep::geometric_mean;
-
-/// The experiment sweep configuration shared by the figure benches.
-#[derive(Debug, Clone)]
-pub struct Sweep {
-    /// Machine to simulate.
-    pub machine: MachineConfig,
-    /// Architecture parameters.
-    pub params: ArchParams,
-    /// Application scale.
-    pub scale: ScaleFactor,
-}
-
-impl Default for Sweep {
-    fn default() -> Self {
-        Sweep {
-            machine: MachineConfig::paper_default(),
-            params: ArchParams::default(),
-            scale: ScaleFactor::Paper,
-        }
-    }
-}
-
-impl Sweep {
-    /// A fast sweep for smoke-testing the harness.
-    pub fn smoke() -> Self {
-        Sweep { scale: ScaleFactor::Smoke, ..Sweep::default() }
-    }
-
-    /// Runs one application under one architecture with the given
-    /// re-allocation policy.
-    pub fn run_one(
-        &self,
-        app: AppId,
-        arch: Architecture,
-        policy: ReallocPolicy,
-    ) -> CompletionReport {
-        let runner = ExperimentRunner::new(self.machine.clone())
-            .with_params(self.params)
-            .with_realloc(policy);
-        let mut instance = app.instantiate(&self.scale);
-        runner
-            .run(arch, instance.as_mut())
-            .unwrap_or_else(|e| panic!("{} under {arch} failed: {e}", app.label()))
-    }
-
-    /// Runs every application under `arch`, returning reports in
-    /// [`AppId::ALL`] order.
-    pub fn run_all(&self, arch: Architecture, policy: ReallocPolicy) -> Vec<CompletionReport> {
-        AppId::ALL.iter().map(|app| self.run_one(*app, arch, policy)).collect()
-    }
-}
 
 /// Prints a markdown-style table row.
 pub fn print_row(cells: &[String]) {
@@ -171,13 +104,6 @@ pub fn available_parallelism() -> usize {
 mod tests {
     use super::*;
 
-    #[test]
-    fn geometric_mean_basics() {
-        assert_eq!(geometric_mean(&[]), 0.0);
-        assert!((geometric_mean(&[4.0, 1.0]) - 2.0).abs() < 1e-12);
-        assert!((geometric_mean(&[3.0, 3.0, 3.0]) - 3.0).abs() < 1e-12);
-    }
-
     /// A one-cell matrix row rendering just its value.
     #[derive(Debug)]
     struct Row(usize);
@@ -209,14 +135,5 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(err, "sweep failed at 2 threads: cell exploded");
-    }
-
-    #[test]
-    fn smoke_sweep_runs_one_app() {
-        let sweep = Sweep::smoke();
-        let report =
-            sweep.run_one(AppId::QueryAes, Architecture::SgxLike, ReallocPolicy::Heuristic);
-        assert!(report.total_cycles > 0);
-        assert!(report.isolation.is_clean());
     }
 }

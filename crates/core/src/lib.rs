@@ -98,8 +98,8 @@ pub use speccheck::{SpecCheckOutcome, SpeculativeAccessCheck};
 pub use sweep::{
     AblationCell, AblationCellKey, AblationGrid, AblationMatrix, AblationSpec, AblationSweepError,
     AppSpec, AttackCell, AttackCellKey, AttackGrid, AttackMatrix, AttackSpec, AttackSweepError,
-    CellError, CellKey, Fig6Row, Fig7Row, Fig8Row, Matrix, MatrixRow, ScalePoint, SweepCell,
-    SweepError, SweepGrid, SweepMatrix, SweepRunner,
+    CellError, CellKey, Fig6Row, Fig7Row, Fig8Row, Matrix, MatrixRow, PaperValue, ScalePoint,
+    ScorecardRow, SweepCell, SweepError, SweepGrid, SweepMatrix, SweepRunner, PAPER_VALUES,
 };
 pub use tenancy::{
     AdmissionPolicy, Arrival, ArrivalGenerator, LoadPoint, SloAccount, StormConfig, StormReport,

@@ -124,8 +124,8 @@ impl CompletionReport {
         self.cycles_to_ms(self.reconfig_cycles)
     }
 
-    /// Overhead per interaction in milliseconds (the paper quotes ~0.19 ms per
-    /// interaction event for MI6).
+    /// Overhead per interaction in milliseconds, the form of the paper's MI6
+    /// purge cost (see [`crate::sweep::PAPER_VALUES`]).
     pub fn overhead_per_interaction_ms(&self) -> f64 {
         if self.interactions == 0 {
             0.0
@@ -137,12 +137,6 @@ impl CompletionReport {
     /// Speedup of this run relative to `other` (>1 means this run is faster).
     pub fn speedup_over(&self, other: &CompletionReport) -> f64 {
         other.total_cycles as f64 / self.total_cycles.max(1) as f64
-    }
-
-    /// Completion time normalised to `baseline` (>1 means this run is slower
-    /// than the baseline), the form used by Figure 1(a).
-    pub fn normalized_to(&self, baseline: &CompletionReport) -> f64 {
-        self.total_cycles as f64 / baseline.total_cycles.max(1) as f64
     }
 
     fn cycles_to_ms(&self, cycles: u64) -> f64 {
@@ -227,8 +221,9 @@ impl ExperimentRunner {
     ///
     /// # Errors
     ///
-    /// Returns a [`RunError`] if cluster formation fails or the secure
-    /// process cannot be attested.
+    /// Returns a [`RunError`] if cluster formation fails (as it does for MI6
+    /// and IRONHIDE on a one-tile machine) or the secure process cannot be
+    /// attested.
     pub fn run(
         &self,
         arch: Architecture,
@@ -258,9 +253,14 @@ impl ExperimentRunner {
         // probes candidate allocations on scratch machines so the main run's
         // state is untouched.
         let total_cores = self.config.cores();
+        // MI6 and IRONHIDE split the machine in two; one tile has no second
+        // half to give the insecure process.
+        if arch.strong_isolation() && total_cores < 2 {
+            return Err(ClusterError::EmptyCluster { requested: 1, total: total_cores }.into());
+        }
         let initial_secure = ((total_cores as f64 * self.params.initial_secure_fraction).round()
             as usize)
-            .clamp(1, total_cores - 1);
+            .clamp(1, total_cores.max(2) - 1);
         let mut decision_secure = initial_secure;
         let mut charge_reconfig = true;
         // One scratch machine is recycled through every predictor probe and
@@ -739,7 +739,6 @@ mod tests {
         let sum = rep.compute_time_ms() + rep.overhead_time_ms() + rep.reconfig_time_ms();
         assert!((sum - rep.total_time_ms()).abs() < 1e-9);
         assert!((rep.speedup_over(&rep) - 1.0).abs() < 1e-12);
-        assert!((rep.normalized_to(&rep) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! so a [`SweepMatrix`] serialises byte-identically whether the sweep ran on
 //! 1 or 64 threads. The matrix exposes the orderings behind the paper's
 //! figures as queryable summaries: Figure 6 completion times
-//! ([`SweepMatrix::fig6`]), Figure 7 miss-rate deltas
+//! ([`SweepMatrix::fig6`]), Figure 7 miss-rate gains
 //! ([`SweepMatrix::fig7`]) and Figure 8 re-allocation-policy sensitivity
-//! ([`SweepMatrix::fig8`]).
+//! ([`SweepMatrix::fig8`]), and [`SweepMatrix::scorecard`] sets each of the
+//! paper's reference values ([`PAPER_VALUES`]) beside its reproduction.
 //!
 //! The application axis is decoupled from any concrete workload crate: a
 //! sweep runs [`AppSpec`]s — a label plus a thread-safe factory closure — so
@@ -1070,15 +1071,15 @@ pub struct Fig7Row {
 }
 
 impl Fig7Row {
-    /// L1 miss-rate delta (MI6 − IRONHIDE; positive means IRONHIDE misses
+    /// L1 miss-rate gain (MI6 / IRONHIDE; above 1 means IRONHIDE misses
     /// less, the paper's "L1 thrashing" effect).
-    pub fn l1_delta(&self) -> f64 {
-        self.mi6_l1 - self.ironhide_l1
+    pub fn l1_gain(&self) -> f64 {
+        self.mi6_l1 / self.ironhide_l1.max(1e-9)
     }
 
-    /// L2 miss-rate delta (MI6 − IRONHIDE).
-    pub fn l2_delta(&self) -> f64 {
-        self.mi6_l2 - self.ironhide_l2
+    /// L2 miss-rate gain (MI6 / IRONHIDE).
+    pub fn l2_gain(&self) -> f64 {
+        self.mi6_l2 / self.ironhide_l2.max(1e-9)
     }
 }
 
@@ -1222,6 +1223,103 @@ impl SweepMatrix {
             Some((geometric_mean(&times_a), geometric_mean(&times_b)))
         }
     }
+
+    /// Every [`PAPER_VALUES`] entry beside its reproduction from this
+    /// matrix, in table order, omitting an entry whose cells the matrix
+    /// lacks.
+    pub fn scorecard(&self) -> Vec<ScorecardRow> {
+        use Architecture::{Insecure, Ironhide, Mi6, SgxLike};
+        use ReallocPolicy::{Heuristic, Optimal};
+        type Cell = (Architecture, ReallocPolicy);
+        let time_ratio = |num: Cell, den: Cell| {
+            self.app_geomean(|c| {
+                Some(c(num.0, num.1)?.total_time_ms() / c(den.0, den.1)?.total_time_ms())
+            })
+        };
+        // In PAPER_VALUES order.
+        let reproduced: [Option<f64>; PAPER_VALUES.len()] = [
+            time_ratio((SgxLike, Heuristic), (Insecure, Heuristic)),
+            time_ratio((Mi6, Heuristic), (Insecure, Heuristic)),
+            time_ratio((Mi6, Heuristic), (Ironhide, Heuristic)),
+            time_ratio((SgxLike, Heuristic), (Ironhide, Heuristic)),
+            self.app_geomean(|c| Some(c(Mi6, Heuristic)?.overhead_per_interaction_ms())),
+            self.app_geomean(|c| {
+                let ironhide = c(Ironhide, Heuristic)?;
+                let ironhide_cycles = ironhide.overhead_cycles + ironhide.reconfig_cycles;
+                Some(c(Mi6, Heuristic)?.overhead_cycles as f64 / ironhide_cycles.max(1) as f64)
+            }),
+            self.fig7(Heuristic).iter().map(Fig7Row::l1_gain).reduce(f64::max),
+            self.fig7(Heuristic).iter().map(Fig7Row::l2_gain).reduce(f64::max),
+            time_ratio((Mi6, Heuristic), (Ironhide, Optimal)),
+        ];
+        PAPER_VALUES
+            .into_iter()
+            .zip(reproduced)
+            .filter_map(|(value, reproduced)| {
+                let reproduced = reproduced?;
+                Some(ScorecardRow {
+                    value,
+                    reproduced,
+                    relative_error: reproduced / value.paper - 1.0,
+                })
+            })
+            .collect()
+    }
+
+    /// The geometric mean of `f` over the (app, scale) pairs it is defined
+    /// for, or `None` when it is defined for none. `f` looks the pair's cells
+    /// up by architecture and policy.
+    fn app_geomean<'a>(&'a self, f: impl Fn(&Cells<'_, 'a>) -> Option<f64>) -> Option<f64> {
+        let values: Vec<f64> = self
+            .distinct(|c| (c.key.app.clone(), c.key.scale.clone()))
+            .iter()
+            .filter_map(|(app, scale)| {
+                f(&|arch, policy| Some(&self.get(app, arch, policy, scale)?.report))
+            })
+            .collect();
+        (!values.is_empty()).then(|| geometric_mean(&values))
+    }
+}
+
+/// One (app, scale) pair's cell reports, by architecture and policy.
+type Cells<'r, 'a> = dyn Fn(Architecture, ReallocPolicy) -> Option<&'a CompletionReport> + 'r;
+
+/// A value the paper states.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PaperValue {
+    /// The figure that states it.
+    pub figure: &'static str,
+    /// What it measures.
+    pub quantity: &'static str,
+    /// The paper's value.
+    pub paper: f64,
+}
+
+/// The paper's reference values (arXiv 1904.12729), as its text states
+/// them, in the order [`SweepMatrix::scorecard`] reproduces them. Each is a
+/// geometric mean over the applications, except Figure 7's gains, which the
+/// paper states as the largest ("up to").
+pub const PAPER_VALUES: [PaperValue; 9] = [
+    PaperValue { figure: "Fig 1", quantity: "SGX / Insecure completion time", paper: 1.33 },
+    PaperValue { figure: "Fig 1", quantity: "MI6 / Insecure completion time", paper: 2.25 },
+    PaperValue { figure: "Fig 1", quantity: "MI6 / IRONHIDE completion time", paper: 2.1 },
+    PaperValue { figure: "Fig 1", quantity: "SGX / IRONHIDE completion time", paper: 1.2 },
+    PaperValue { figure: "Fig 6", quantity: "MI6 purge per interaction (ms)", paper: 0.19 },
+    PaperValue { figure: "Fig 6", quantity: "purge-component gain over MI6", paper: 706.0 },
+    PaperValue { figure: "Fig 7", quantity: "largest L1 miss-rate gain over MI6", paper: 5.9 },
+    PaperValue { figure: "Fig 7", quantity: "largest L2 miss-rate gain over MI6", paper: 2.0 },
+    PaperValue { figure: "Fig 8", quantity: "Optimal speedup over MI6", paper: 2.3 },
+];
+
+/// One [`PaperValue`] beside its reproduction, from [`SweepMatrix::scorecard`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScorecardRow {
+    /// The paper's value and what it measures.
+    pub value: PaperValue,
+    /// The value this matrix reproduces.
+    pub reproduced: f64,
+    /// `reproduced / paper − 1`: negative means below the paper's value.
+    pub relative_error: f64,
 }
 
 /// The geometric mean of a slice of positive values (0 when empty).
@@ -1569,6 +1667,25 @@ mod tests {
         let fig8 = matrix.fig8();
         assert_eq!(fig8.len(), 1);
         assert_eq!(fig8[0].policy, ReallocPolicy::Static);
+    }
+
+    #[test]
+    fn scorecard_omits_rows_whose_cells_the_matrix_lacks() {
+        let grid = test_grid()
+            .with_architectures(&[Architecture::Insecure, Architecture::SgxLike])
+            .with_policies(&[ReallocPolicy::Heuristic]);
+        let matrix = test_runner().run(&grid).unwrap();
+        let card = matrix.scorecard();
+        assert_eq!(card.len(), 1, "only SGX / Insecure has its cells: {card:?}");
+        let time = |arch| {
+            let cell = matrix.get("<SEEDED, TEST>", arch, ReallocPolicy::Heuristic, "Smoke");
+            cell.expect("cell present").report.total_time_ms()
+        };
+        let row = card[0];
+        assert_eq!(row.value.quantity, PAPER_VALUES[0].quantity);
+        let sgx_over_insecure = time(Architecture::SgxLike) / time(Architecture::Insecure);
+        assert!((row.reproduced - sgx_over_insecure).abs() < 1e-12);
+        assert_eq!(row.relative_error, row.reproduced / row.value.paper - 1.0);
     }
 
     #[test]

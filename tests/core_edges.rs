@@ -1,9 +1,11 @@
 //! Coverage for previously untested `ironhide-core` edges: extreme
-//! `ReallocPolicy::FixedOffset` clamping, and the secure kernel's
-//! attestation-rejection and mutually-distrusting admission paths.
+//! `ReallocPolicy::FixedOffset` clamping, a one-tile machine, and the secure
+//! kernel's attestation-rejection and mutually-distrusting admission paths.
 
+use ironhide::ironhide_core::cluster::ClusterError;
 use ironhide::ironhide_core::kernel::{AppDomain, AttestationError, SecureKernel, TrustRelation};
 use ironhide::ironhide_core::realloc::ReallocDecision;
+use ironhide::ironhide_core::RunError;
 use ironhide::ironhide_sim::process::ProcessId;
 use ironhide::prelude::*;
 
@@ -48,6 +50,39 @@ fn fixed_offset_extremes_survive_an_end_to_end_run() {
         let report = runner.run(Architecture::Ironhide, app.as_mut()).expect("run succeeds");
         assert_eq!(report.secure_cores, expected_cores, "offset {offset}");
         assert!(report.isolation.is_clean(), "{:?}", report.isolation.violations);
+    }
+}
+
+#[test]
+fn a_one_tile_machine_runs_or_refuses_to_split_under_every_architecture() {
+    // validate() accepts a 1x1 mesh. The architectures that time-share it
+    // run; MI6 and IRONHIDE, which split the machine in two, refuse with a
+    // typed error before any predictor probe. None panics.
+    let config = MachineConfig {
+        mesh_width: 1,
+        mesh_height: 1,
+        controllers: 1,
+        ..MachineConfig::small_test()
+    };
+    config.validate().expect("a 1x1 mesh with one controller is a valid machine");
+    let params = ArchParams { warmup_interactions: 1, predictor_sample: 1, ..Default::default() };
+    let runner = ExperimentRunner::new(config).with_params(params);
+    for arch in Architecture::ALL.into_iter().chain([Architecture::TemporalFence]) {
+        let mut app = AppId::QueryAes.instantiate(&ScaleFactor::Smoke);
+        let outcome = runner.run(arch, app.as_mut());
+        if matches!(arch, Architecture::Mi6 | Architecture::Ironhide) {
+            assert!(
+                matches!(
+                    outcome,
+                    Err(RunError::Cluster(ClusterError::EmptyCluster { total: 1, .. }))
+                ),
+                "{arch}: {outcome:?}"
+            );
+        } else {
+            let report = outcome.unwrap_or_else(|e| panic!("{arch}: {e}"));
+            assert_eq!(report.secure_cores, 1, "{arch}");
+            assert!(report.isolation.is_clean(), "{arch}: {:?}", report.isolation.violations);
+        }
     }
 }
 
