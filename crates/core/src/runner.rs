@@ -524,26 +524,12 @@ impl ExperimentRunner {
         machine.set_load_hint((n_eff as u64 / self.config.controllers.max(1) as u64).max(1));
         lane_cycles.clear();
         lane_cycles.resize(n_eff, 0);
-        if !unit.accesses.is_empty() {
-            // Carve the stream into per-lane chunks by reference index (the
-            // same chunking the materialised path used), then feed each
-            // chunk's sub-runs to the batched access engine.
-            let total = unit.accesses.len() as u64;
-            let chunk = total.div_ceil(n_eff as u64);
-            let screened = arch.speculative_check() && issuer_is_insecure;
-            let mut start = 0u64;
-            let mut lane = 0usize;
-            while start < total {
-                let end = (start + chunk).min(total);
-                let core = active[lane % n_eff];
-                let mut cycles = 0u64;
-                for run in unit.accesses.ref_range(start, end) {
-                    cycles += issue_run(machine, spec, pid, core, run, screened);
-                }
-                lane_cycles[lane % n_eff] += cycles;
-                lane += 1;
-                start = end;
-            }
+        // Carve the stream into per-lane chunks by reference index and feed
+        // each chunk's pieces to the batched access engine from its lane's
+        // core.
+        let screened = arch.speculative_check() && issuer_is_insecure;
+        for (lane, piece) in unit.accesses.lanes(n_eff) {
+            lane_cycles[lane] += issue_run(machine, spec, pid, active[lane], piece, screened);
         }
         let mem_time = lane_cycles.iter().copied().max().unwrap_or(0);
         let serial =

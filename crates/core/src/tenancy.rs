@@ -624,8 +624,11 @@ impl<'a> TenancyStorm<'a> {
                                 };
                                 if from != to {
                                     let penalty = schedule.config().magnitude;
-                                    machine.set_link_fault(NodeId(from), NodeId(to), penalty);
-                                    machine.set_link_fault(NodeId(to), NodeId(from), penalty);
+                                    for (a, b) in [(from, to), (to, from)] {
+                                        machine
+                                            .set_link_fault(NodeId(a), NodeId(b), penalty)
+                                            .expect("neighbouring tiles share a link");
+                                    }
                                 }
                             }
                             FaultKind::ControllerStall => {

@@ -19,8 +19,9 @@
 //!
 //! This crate provides the topology ([`MeshTopology`]), the routing functions
 //! ([`Route`], [`RoutingAlgorithm`]), a cluster map with containment checking
-//! and automatic routing-order selection ([`ClusterMap`]), a latency/contention
-//! model ([`LatencyModel`], [`LinkLoad`]) and traffic statistics ([`NocStats`]).
+//! and automatic routing-order selection ([`ClusterMap`]), the table of every
+//! route one cluster map selects ([`RouteTable`]), a latency/contention model
+//! ([`LatencyModel`], [`LinkLoad`]) and traffic statistics ([`NocStats`]).
 //!
 //! # Example
 //!
@@ -47,8 +48,8 @@ pub use ironhide_fx as fx;
 
 pub use cluster::{ClusterId, ClusterMap, IsolationViolation};
 pub use ironhide_fx::{FxHashMap, FxHashSet, FxHasher};
-pub use latency::{LatencyModel, LinkLoad, NocLatencyConfig};
+pub use latency::{LatencyModel, LinkLoad, NocLatencyConfig, NotALink};
 pub use packet::{Packet, PacketKind};
-pub use routing::{HopTable, Route, RouteIter, RouteLinks, RoutingAlgorithm};
+pub use routing::{Route, RouteIter, RouteLinks, RouteTable, RoutingAlgorithm, TableRoute};
 pub use stats::NocStats;
 pub use topology::{Coord, MeshEdge, MeshTopology, NodeId, NodeSet, NodeSetIter};

@@ -1,12 +1,16 @@
 //! Deterministic dimension-ordered routing (X-Y and Y-X).
 //!
-//! The hot path of the simulator never materialises routes: [`RouteIter`]
-//! computes the traversed nodes one step at a time from coordinates alone, so
-//! charging a packet's latency performs **zero heap allocations**. [`Route`]
-//! (an ordered `Vec` of nodes) is kept as a test/debug convenience and is
-//! itself built by collecting a [`RouteIter`].
+//! [`RouteIter`] computes the nodes a packet traverses one step at a time
+//! from coordinates alone, without allocating. [`RouteTable`] applies the
+//! cluster-containment selection rule to each `(src, dst)` pair once per
+//! cluster map and keeps the chosen links as dense slots: the simulator
+//! charges every packet from it, so charging performs **zero heap
+//! allocations** and no route stepping. [`Route`] (an ordered `Vec` of
+//! nodes) is kept as a test/debug convenience and is itself built by
+//! collecting a [`RouteIter`].
 
-use crate::topology::{Coord, MeshTopology, NodeId};
+use crate::cluster::{ClusterId, ClusterMap};
+use crate::topology::{Coord, MeshTopology, NodeId, NodeSet};
 
 /// The deterministic routing function used for a packet.
 ///
@@ -233,47 +237,152 @@ impl MeshTopology {
     }
 }
 
-/// Precomputed hop counts for every `(src, dst)` pair of a topology.
+/// Every `(src, dst)` route of the mesh under one cluster map, each resolved
+/// once and stored as link slots ([`MeshTopology::link_slot`]).
 ///
-/// Dimension-ordered routes traverse exactly Manhattan-distance many links
-/// under *either* routing order, so the `(src, dst, algorithm)` space
-/// collapses to `(src, dst)`: one table serves both X-Y and Y-X. The table
-/// lets the hot path charge and account a packet's hop count with a single
-/// indexed load instead of re-deriving coordinates.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HopTable {
-    nodes: usize,
-    hops: Vec<u16>,
+/// The selection rule:
+///
+/// * traffic entering or leaving the mesh at an *edge node* (a
+///   memory-controller attachment point) routes X-Y — the controller is
+///   shared infrastructure dedicated per cluster by the DRAM-region map, so
+///   it is not counted against the cluster boundary;
+/// * traffic within one cluster takes [`ClusterMap::contained_route`],
+///   falling back to X-Y when neither order is contained;
+/// * traffic across clusters routes X-Y (only IPC-class traffic is
+///   expected to cross; the isolation auditor in `ironhide-core` flags
+///   anything else), and so does everything when no cluster map is active.
+///
+/// A route's links therefore depend only on `(src, dst)`, the edge nodes
+/// and the cluster map. The table owns the map, so replacing it
+/// ([`RouteTable::set_cluster_map`]) is the one way to change a route, and
+/// it forgets every resolved one.
+///
+/// Every rule picks a dimension-ordered route, which crosses exactly the
+/// Manhattan distance in links, so each pair's slot range is fixed when the
+/// table is built and resolving writes in place: after [`RouteTable::new`]
+/// the table never allocates.
+#[derive(Debug, Clone)]
+pub struct RouteTable {
+    topology: MeshTopology,
+    edge: NodeSet,
+    map: Option<ClusterMap>,
+    /// `starts[src × nodes + dst]` is where the pair's link slots begin in
+    /// `links`; the next pair's start is where they end.
+    starts: Vec<u32>,
+    links: Vec<u16>,
+    /// Per pair: `None` until the route is resolved under the current map,
+    /// then the cluster pair its packets are recorded with.
+    resolved: Vec<Option<Option<(ClusterId, ClusterId)>>>,
 }
 
-impl HopTable {
-    /// Builds the table for `topology` (`nodes²` entries, two bytes each —
-    /// 8 KiB for the paper's 64-tile mesh).
-    pub fn new(topology: &MeshTopology) -> Self {
+/// One resolved route of a [`RouteTable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableRoute<'a> {
+    /// The route's link slots in traversal order; their number is the hop
+    /// count.
+    pub links: &'a [u16],
+    /// The `(source, destination)` clusters of cluster-isolated traffic that
+    /// is not edge traffic; `None` otherwise.
+    pub clusters: Option<(ClusterId, ClusterId)>,
+}
+
+impl RouteTable {
+    /// Builds an empty table for `topology` with no cluster map. `edge`
+    /// holds the nodes whose traffic is edge traffic.
+    pub fn new(topology: MeshTopology, edge: NodeSet) -> Self {
+        assert!(topology.link_slots() <= 1 << 16, "mesh exceeds the route table's u16 link slots");
         let n = topology.nodes();
-        assert!(
-            topology.width() + topology.height() - 2 <= u16::MAX as usize,
-            "mesh diameter exceeds the hop table's u16 range"
-        );
-        let mut hops = Vec::with_capacity(n * n);
-        for a in 0..n {
-            let ca = topology.coord(NodeId(a));
-            for b in 0..n {
-                hops.push(ca.manhattan(topology.coord(NodeId(b))) as u16);
+        let mut starts = Vec::with_capacity(n * n + 1);
+        let mut total = 0u32;
+        for a in topology.iter_nodes() {
+            for b in topology.iter_nodes() {
+                starts.push(total);
+                total = u32::try_from(topology.distance(a, b))
+                    .ok()
+                    .and_then(|hops| total.checked_add(hops))
+                    .expect("mesh exceeds the route table's u32 offsets");
             }
         }
-        HopTable { nodes: n, hops }
+        starts.push(total);
+        RouteTable {
+            topology,
+            edge,
+            map: None,
+            starts,
+            links: vec![0; total as usize],
+            resolved: vec![None; n * n],
+        }
     }
 
-    /// Hop count of the deterministic route from `src` to `dst` (identical
-    /// under X-Y and Y-X routing).
+    /// The active cluster map, if any.
+    pub fn cluster_map(&self) -> Option<&ClusterMap> {
+        self.map.as_ref()
+    }
+
+    /// Activates (or clears) a cluster map and forgets every resolved route.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the map partitions a different topology.
+    pub fn set_cluster_map(&mut self, map: Option<ClusterMap>) {
+        if let Some(m) = &map {
+            assert_eq!(
+                m.topology().nodes(),
+                self.topology.nodes(),
+                "cluster map must cover the machine topology"
+            );
+        }
+        self.map = map;
+        self.resolved.fill(None);
+    }
+
+    /// The route from `src` to `dst` under the current cluster map,
+    /// resolved on first use.
     ///
     /// # Panics
     ///
     /// Panics if either node is out of range.
-    pub fn hops(&self, src: NodeId, dst: NodeId) -> usize {
-        assert!(src.0 < self.nodes && dst.0 < self.nodes, "node out of hop-table range");
-        self.hops[src.0 * self.nodes + dst.0] as usize
+    #[inline]
+    pub fn route(&mut self, src: NodeId, dst: NodeId) -> TableRoute<'_> {
+        let n = self.topology.nodes();
+        assert!(src.0 < n && dst.0 < n, "node out of route-table range");
+        let pair = src.0 * n + dst.0;
+        let slots = self.starts[pair] as usize..self.starts[pair + 1] as usize;
+        let clusters = match self.resolved[pair] {
+            Some(clusters) => clusters,
+            None => {
+                let clusters = self.resolve(src, dst, slots.clone());
+                self.resolved[pair] = Some(clusters);
+                clusters
+            }
+        };
+        TableRoute { links: &self.links[slots], clusters }
+    }
+
+    /// Applies the selection rule to `(src, dst)`, writing the route's link
+    /// slots into `slots` and returning its cluster pair.
+    fn resolve(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        slots: std::ops::Range<usize>,
+    ) -> Option<(ClusterId, ClusterId)> {
+        let xy = self.topology.route_iter(src, dst, RoutingAlgorithm::XY);
+        let edge_traffic = self.edge.contains(src) || self.edge.contains(dst);
+        let (route, clusters) = match &self.map {
+            Some(map) if !edge_traffic => {
+                let (a, b) = (map.cluster_of(src), map.cluster_of(dst));
+                let route =
+                    if a == b { map.contained_route(src, dst, a).unwrap_or(xy) } else { xy };
+                (route, Some((a, b)))
+            }
+            _ => (xy, None),
+        };
+        for (slot, (from, to)) in self.links[slots].iter_mut().zip(route.links()) {
+            *slot =
+                self.topology.link_slot(from, to).expect("route links join mesh neighbours") as u16;
+        }
+        clusters
     }
 }
 
@@ -379,20 +488,22 @@ mod tests {
     }
 
     #[test]
-    fn hop_table_matches_distances() {
+    fn route_table_hops_match_distances() {
         let m = MeshTopology::new(8, 8);
-        let table = HopTable::new(&m);
+        let mut table = RouteTable::new(m, NodeSet::default());
         for a in m.iter_nodes() {
             for b in m.iter_nodes() {
-                assert_eq!(table.hops(a, b), m.distance(a, b));
+                let route = table.route(a, b);
+                assert_eq!(route.links.len(), m.distance(a, b));
+                assert_eq!(route.clusters, None);
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "hop-table range")]
-    fn hop_table_rejects_out_of_range() {
-        let table = HopTable::new(&MeshTopology::new(2, 2));
-        table.hops(NodeId(0), NodeId(4));
+    #[should_panic(expected = "route-table range")]
+    fn route_table_rejects_out_of_range() {
+        let mut table = RouteTable::new(MeshTopology::new(2, 2), NodeSet::default());
+        table.route(NodeId(0), NodeId(4));
     }
 }

@@ -141,6 +141,31 @@ impl MeshTopology {
         self.coord(a).manhattan(self.coord(b))
     }
 
+    /// Number of directional link slots: four per node, one per direction,
+    /// whether or not the mesh has a neighbour on that side.
+    pub fn link_slots(&self) -> usize {
+        self.nodes() * 4
+    }
+
+    /// The slot of the directional link `from → to`: `from × 4 +
+    /// direction`, with directions 0 east, 1 west, 2 south and 3 north.
+    /// `None` when the two nodes are not mesh neighbours (or either is out
+    /// of range).
+    pub fn link_slot(&self, from: NodeId, to: NodeId) -> Option<usize> {
+        if from.0 >= self.nodes() || to.0 >= self.nodes() {
+            return None;
+        }
+        let (a, b) = (self.coord(from), self.coord(to));
+        let direction = match (b.x as isize - a.x as isize, b.y as isize - a.y as isize) {
+            (1, 0) => 0,
+            (-1, 0) => 1,
+            (0, 1) => 2,
+            (0, -1) => 3,
+            _ => return None,
+        };
+        Some(from.0 * 4 + direction)
+    }
+
     /// The (up to four) neighbours of `node`.
     pub fn neighbors(&self, node: NodeId) -> Vec<NodeId> {
         let c = self.coord(node);
@@ -418,6 +443,24 @@ mod tests {
         let south = mcs.iter().filter(|n| m.coord(**n).y == 7).count();
         assert_eq!(north, 2);
         assert_eq!(south, 2);
+    }
+
+    #[test]
+    fn link_slots_are_distinct_per_directional_link() {
+        let m = MeshTopology::new(4, 3);
+        let mut seen = vec![false; m.link_slots()];
+        for a in m.iter_nodes() {
+            for b in m.neighbors(a) {
+                let slot = m.link_slot(a, b).expect("neighbours share a link");
+                assert!(!seen[slot], "slot {slot} reused");
+                seen[slot] = true;
+            }
+        }
+        assert_eq!(m.link_slot(NodeId(0), NodeId(1)), Some(0));
+        assert_eq!(m.link_slot(NodeId(5), NodeId(1)), Some(5 * 4 + 3));
+        for (a, b) in [(0, 5), (3, 4), (2, 2), (0, 12)] {
+            assert_eq!(m.link_slot(NodeId(a), NodeId(b)), None, "({a}, {b}) is not a link");
+        }
     }
 
     #[test]

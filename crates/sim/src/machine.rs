@@ -25,8 +25,8 @@
 use ironhide_cache::{Directory, Evicted, PageId, SetAssocCache, SliceId, Tlb};
 use ironhide_mem::{ControllerMask, MemoryController, RegionMap, RegionOwner};
 use ironhide_mesh::{
-    ClusterId, ClusterMap, HopTable, LatencyModel, MeshEdge, MeshTopology, NocStats, NodeId,
-    NodeSet, PacketKind, RoutingAlgorithm,
+    ClusterMap, LatencyModel, MeshEdge, MeshTopology, NocStats, NodeId, NodeSet, NotALink,
+    PacketKind, RouteTable,
 };
 
 use crate::config::{LatencyConfig, MachineConfig};
@@ -70,177 +70,62 @@ struct XlateMru {
     ppn: u64,
 }
 
-/// One resolved packet route, cached for the duration of a burst of
-/// same-`(src, dst, kind)` packets by the batched access engine. The link
-/// list is materialised once; each packet of the burst then only performs
-/// the per-link load observations and the statistics update — exactly the
-/// state effects [`Machine::route_latency`] has, in the same order.
-#[derive(Debug, Default)]
-struct CachedRoute {
-    resolved: bool,
-    links: Vec<(NodeId, NodeId)>,
-    kind: Option<PacketKind>,
-    flits: usize,
-    /// Hop count recorded into [`NocStats`] (always the minimal hop count
-    /// from the hop table, as the scalar path records).
-    stat_hops: usize,
-    clusters: Option<(ClusterId, ClusterId)>,
+/// The mesh every packet crosses: the route table (which owns the cluster
+/// map), the link-load model, the traffic statistics and the IPC marker that
+/// classifies packets. [`Network::charge`] is the one charging path of both
+/// engines: requests and responses, write-backs and coherence messages.
+#[derive(Debug)]
+struct Network {
+    routes: RouteTable,
+    model: LatencyModel,
+    stats: NocStats,
+    ipc_marker: bool,
 }
 
-impl CachedRoute {
-    /// Charges one packet over the cached route: per-link load observations,
-    /// the latency computation and the NoC statistics update.
+impl Network {
+    /// Charges one packet `src → dst` over the table's route: the per-link
+    /// load observations, the latency and the statistics record.
+    /// IPC-marked traffic travels as IPC-class packets, except write-backs
+    /// (evictions are not part of the logical IPC transfer).
     #[inline]
-    fn charge(&self, noc: &mut LatencyModel, stats: &mut NocStats) -> u64 {
-        let kind = self.kind.expect("cached route must be resolved before charging");
-        let latency = noc.traverse_links(&self.links, self.flits);
-        stats.record(kind, self.flits, self.stat_hops, latency, self.clusters);
+    fn charge(&mut self, src: NodeId, dst: NodeId, kind: PacketKind) -> u64 {
+        let kind =
+            if self.ipc_marker && kind != PacketKind::WriteBack { PacketKind::Ipc } else { kind };
+        let route = self.routes.route(src, dst);
+        let flits = kind.flits();
+        let latency = self.model.traverse_links(route.links, flits);
+        self.stats.record(kind, flits, route.links.len(), latency, route.clusters);
         latency
     }
 }
 
-/// One slot of the one-off [`RouteCache`]: the `(route_epoch, src, dst,
-/// kind)` the resolved route belongs to (`epoch == None` marks a never-used
-/// slot).
-#[derive(Debug)]
-struct OneOffRoute {
-    epoch: Option<u64>,
-    src: NodeId,
-    dst: NodeId,
-    kind: PacketKind,
-    route: CachedRoute,
-}
-
-impl Default for OneOffRoute {
-    fn default() -> Self {
-        OneOffRoute {
-            epoch: None,
-            src: NodeId(0),
-            dst: NodeId(0),
-            kind: PacketKind::Request,
-            route: CachedRoute::default(),
-        }
-    }
-}
-
-/// Direct-mapped, epoch-validated cache of resolved one-off packet routes:
-/// coherence maintenance and acknowledgement messages, victim write-backs
-/// and the scalar path's per-access packets — every packet whose `(src,
-/// dst)` is not a page-run invariant. Coherence traffic re-visits a small
-/// working set of `(home, sharer)` pairs, so memoising the resolved link
-/// lists removes the per-packet route materialisation (the dominant
-/// allocation-and-walk cost of the directory layer) while every packet
-/// still performs its per-link load observations and statistics updates in
-/// unchanged order.
-///
-/// Route selection depends only on the mesh topology (fixed), the cluster
-/// map, the slice restrictions and the IPC marker — and every mutation of
-/// the latter three bumps `route_epoch`. A slot is therefore valid exactly
-/// when its stored `(epoch, src, dst, kind)` matches the lookup; stale
-/// slots can never serve a route, they are simply re-resolved in place.
-#[derive(Debug, Default)]
-struct RouteCache {
-    entries: Vec<OneOffRoute>,
-}
-
-impl RouteCache {
-    /// Slot count (direct-mapped). 256 slots comfortably cover the working
-    /// set of one page binding: four page-route classes are cached
-    /// separately, and the one-off traffic touches O(sharers) pairs.
-    const SLOTS: usize = 256;
-
-    /// Charges one packet `src → dst`, resolving the route only when the
-    /// slot does not already hold it for the current epoch. Byte-identical
-    /// to resolving per packet: [`resolve_route`] is a pure function of
-    /// `(src, dst, kind)` and the epoch-guarded routing state.
-    #[allow(clippy::too_many_arguments)]
-    fn charge(
-        &mut self,
-        epoch: u64,
-        src: NodeId,
-        dst: NodeId,
-        kind: PacketKind,
-        ipc_marker: bool,
-        topology: &MeshTopology,
-        cluster_map: Option<&ClusterMap>,
-        mc_node_set: &NodeSet,
-        hop_table: &HopTable,
-        noc: &mut LatencyModel,
-        noc_stats: &mut NocStats,
-    ) -> u64 {
-        if self.entries.is_empty() {
-            // One-time lazy allocation; the slots (and their link vectors)
-            // are reused for the life of the machine.
-            self.entries.resize_with(Self::SLOTS, OneOffRoute::default);
-        }
-        let slot =
-            (src.0.wrapping_mul(31) ^ dst.0.wrapping_mul(197) ^ (kind as usize) << 3) % Self::SLOTS;
-        let e = &mut self.entries[slot];
-        if e.epoch != Some(epoch) || e.src != src || e.dst != dst || e.kind != kind {
-            resolve_route(
-                &mut e.route,
-                src,
-                dst,
-                kind,
-                ipc_marker,
-                topology,
-                cluster_map,
-                mc_node_set,
-                hop_table,
-            );
-            e.epoch = Some(epoch);
-            e.src = src;
-            e.dst = dst;
-            e.kind = kind;
-        }
-        e.route.charge(noc, noc_stats)
-    }
-}
-
-/// Reusable route caches of the batched access engine (and the scalar
-/// path's one-off scratch). Allocated lazily, grown once, reused forever —
-/// steady-state accesses stay allocation-free.
+/// The batched access engine's page memo. Allocated lazily, grown once,
+/// reused forever — steady-state accesses stay allocation-free.
 #[derive(Debug, Default)]
 struct BatchScratch {
-    /// The `(route_epoch, core, pid, ppn)` the cached state below belongs
-    /// to. Workload streams re-touch the same page across many short runs,
-    /// so the memo survives *across* `access_run` calls until the machine
-    /// performs a route-affecting mutation (which bumps the epoch) or the
-    /// stream moves to another page/core/process.
+    /// The `(route_epoch, core, pid, ppn)` the memo below belongs to.
+    /// Workload streams re-touch the same page across many short runs, so
+    /// the memo survives *across* `access_run` calls until the machine
+    /// re-homes pages (which bumps the epoch) or the stream moves to another
+    /// page/core/process.
     key: Option<(u64, usize, usize, u64)>,
     /// Home slice of the memoised page, resolved on first L1 miss.
     home: Option<NodeId>,
     /// Owning memory controller of the memoised page, resolved on first L2
     /// miss.
     mc: Option<usize>,
-    /// Request route core → home slice of the current page-run.
-    request: CachedRoute,
-    /// Response route home slice → core.
-    response: CachedRoute,
-    /// Request route home slice → memory controller.
-    mem_request: CachedRoute,
-    /// Response route memory controller → home slice.
-    mem_response: CachedRoute,
-    /// Epoch-validated cache of one-off packet routes (write-backs,
-    /// coherence messages, scalar accesses). Deliberately *not* reset by
-    /// [`BatchScratch::rebind`]: its slots are keyed by `(route_epoch, src,
-    /// dst, kind)` and self-validate on every lookup, so a page/core/process
-    /// rebind — which changes none of those — cannot make them stale.
-    /// `tests/hot_path_equivalence.rs` pins this invariant differentially.
-    oneoff: RouteCache,
     /// Per-line directory slot hints, indexed by line offset within the
-    /// memoised page (`u32::MAX` = no hint). Like `oneoff`, *not* reset on
-    /// rebind: a hint is only acted on after
-    /// [`Directory::access_private_fast`] revalidates the slot (live entry,
-    /// same line, sole sharer = this core), so a stale hint — even one left
-    /// by a different page whose lines hash elsewhere — costs at worst one
-    /// failed probe.
+    /// memoised page (`u32::MAX` = no hint). *Not* reset on rebind: a hint
+    /// is only acted on after [`Directory::access_private_fast`]
+    /// revalidates the slot (live entry, same line, sole sharer = this
+    /// core), so a stale hint — even one left by a different page whose
+    /// lines hash elsewhere — costs at worst one failed probe.
     dir_slots: Vec<u32>,
 }
 
 impl BatchScratch {
-    /// Rebinds the memo to `key`, invalidating the per-page caches if it
-    /// changed (capacities are kept either way).
+    /// Rebinds the memo to `key`, forgetting the page's home and controller
+    /// if it changed.
     fn rebind(&mut self, key: (u64, usize, usize, u64)) {
         if self.key == Some(key) {
             return;
@@ -248,10 +133,6 @@ impl BatchScratch {
         self.key = Some(key);
         self.home = None;
         self.mc = None;
-        self.request.resolved = false;
-        self.response.resolved = false;
-        self.mem_request.resolved = false;
-        self.mem_response.resolved = false;
     }
 }
 
@@ -282,82 +163,14 @@ fn home_of_line(
     owner.and_then(|p| p.home.home_of(PageId(ppn)).ok()).map(|s| NodeId(s.0)).unwrap_or(NodeId(0))
 }
 
-/// The IPC-marker packet reclassification shared by the scalar and batched
-/// paths: IPC-marked traffic travels as IPC-class packets, except
-/// write-backs (evictions are not part of the logical IPC transfer).
-#[inline]
-fn effective_kind(kind: PacketKind, ipc_marker: bool) -> PacketKind {
-    if ipc_marker && !matches!(kind, PacketKind::WriteBack) {
-        PacketKind::Ipc
-    } else {
-        kind
-    }
-}
-
-/// Resolves the route and packet classification for `(src, dst, kind)` into
-/// `out`, replicating the selection the scalar path performs per packet:
-/// memory-controller edge traffic bypasses cluster containment, intra-cluster
-/// traffic uses the cluster-contained route, and everything else routes X-Y.
-#[allow(clippy::too_many_arguments)]
-fn resolve_route(
-    out: &mut CachedRoute,
-    src: NodeId,
-    dst: NodeId,
-    kind: PacketKind,
-    ipc_marker: bool,
-    topology: &MeshTopology,
-    cluster_map: Option<&ClusterMap>,
-    mc_node_set: &NodeSet,
-    hop_table: &HopTable,
-) {
-    let kind = effective_kind(kind, ipc_marker);
-    // Traffic entering or leaving the mesh at a memory-controller
-    // attachment point is edge traffic: the controller is shared
-    // infrastructure dedicated per cluster by the DRAM-region map, so it
-    // is not counted against the cluster-boundary invariant.
-    let edge_traffic = mc_node_set.contains(src) || mc_node_set.contains(dst);
-    let (route, clusters) = match cluster_map {
-        Some(map) if !edge_traffic => {
-            let src_cluster = map.cluster_of(src);
-            let dst_cluster = map.cluster_of(dst);
-            let route = if src_cluster == dst_cluster {
-                map.contained_route(src, dst, src_cluster)
-                    .unwrap_or_else(|_| topology.route_iter(src, dst, RoutingAlgorithm::XY))
-            } else {
-                // Only IPC-class traffic is expected to cross the boundary;
-                // the isolation auditor in ironhide-core flags anything else.
-                topology.route_iter(src, dst, RoutingAlgorithm::XY)
-            };
-            (route, Some((src_cluster, dst_cluster)))
-        }
-        _ => (topology.route_iter(src, dst, RoutingAlgorithm::XY), None),
-    };
-    out.links.clear();
-    out.links.extend(route.links());
-    out.kind = Some(kind);
-    out.flits = kind.flits();
-    out.stat_hops = hop_table.hops(src, dst);
-    out.clusters = clusters;
-    out.resolved = true;
-}
-
-/// The network half of a coherence transaction: the routing state and the
-/// one-off route scratch needed to charge invalidation/downgrade messages.
-/// Split out so [`coherence_transaction`] — the **single** implementation
-/// both the scalar reference path and the batched engine execute — can be
-/// handed disjoint borrows from either context.
+/// The network half of a coherence transaction: the mesh and the DRAM
+/// region map needed to classify invalidation/downgrade messages. Split out
+/// so [`coherence_transaction`] — the **single** implementation both the
+/// scalar reference path and the batched engine execute — can be handed
+/// disjoint borrows from either context.
 struct CohNet<'a> {
-    noc: &'a mut LatencyModel,
-    noc_stats: &'a mut NocStats,
-    topology: &'a MeshTopology,
-    cluster_map: Option<&'a ClusterMap>,
-    mc_node_set: &'a NodeSet,
-    hop_table: &'a HopTable,
+    net: &'a mut Network,
     regions: &'a RegionMap,
-    ipc_marker: bool,
-    /// Current `route_epoch`, keying the one-off route cache.
-    epoch: u64,
-    oneoff: &'a mut RouteCache,
 }
 
 impl CohNet<'_> {
@@ -373,7 +186,7 @@ impl CohNet<'_> {
     /// (a mis-homed page, a missed scrub) stay maintenance-class and trip
     /// the auditor instead of being blessed by the crossing itself.
     fn charge(&mut self, src: NodeId, dst: NodeId, kind: PacketKind, paddr: u64) -> u64 {
-        let kind = match self.cluster_map {
+        let kind = match self.net.routes.cluster_map() {
             Some(map)
                 if map.cluster_of(src) != map.cluster_of(dst)
                     && matches!(self.regions.owner_of(paddr), Ok(RegionOwner::Insecure)) =>
@@ -382,23 +195,7 @@ impl CohNet<'_> {
             }
             _ => kind,
         };
-        // The cache key uses the *post*-reclassification kind: the
-        // reclassification above depends on `paddr`'s region, which is not
-        // part of the key — but the route resolved for a given kind is
-        // region-independent, so keying on the final kind is exact.
-        self.oneoff.charge(
-            self.epoch,
-            src,
-            dst,
-            kind,
-            self.ipc_marker,
-            self.topology,
-            self.cluster_map,
-            self.mc_node_set,
-            self.hop_table,
-            self.noc,
-            self.noc_stats,
-        )
+        self.net.charge(src, dst, kind)
     }
 }
 
@@ -531,20 +328,12 @@ struct SegCtx<'a> {
     l1s: &'a mut [SetAssocCache],
     directories: &'a mut [Directory],
     l2s: &'a mut [SetAssocCache],
-    noc: &'a mut LatencyModel,
-    noc_stats: &'a mut NocStats,
+    net: &'a mut Network,
     controllers: &'a mut [MemoryController],
     mc_nodes: &'a [NodeId],
-    mc_node_set: &'a NodeSet,
-    hop_table: &'a HopTable,
-    topology: &'a MeshTopology,
-    cluster_map: Option<&'a ClusterMap>,
     processes: &'a [ProcessState],
     regions: &'a RegionMap,
     batch: &'a mut BatchScratch,
-    ipc_marker: bool,
-    /// Current `route_epoch`, keying the one-off route cache.
-    epoch: u64,
     load_hint: u64,
     l2_accesses: u64,
     l2_hits: u64,
@@ -568,24 +357,6 @@ impl SegCtx<'_> {
         h
     }
 
-    /// Charges one one-off packet (write-backs, whose victim addresses are
-    /// not page-run invariants) through the epoch-validated route cache.
-    fn route_oneoff(&mut self, src: NodeId, dst: NodeId, kind: PacketKind) -> u64 {
-        self.batch.oneoff.charge(
-            self.epoch,
-            src,
-            dst,
-            kind,
-            self.ipc_marker,
-            self.topology,
-            self.cluster_map,
-            self.mc_node_set,
-            self.hop_table,
-            self.noc,
-            self.noc_stats,
-        )
-    }
-
     /// Runs [`coherence_transaction`] at the segment's home slice from the
     /// batched engine's split borrows.
     fn coherence(&mut self, paddr: u64, write: bool, upgrade: bool) -> u64 {
@@ -594,38 +365,13 @@ impl SegCtx<'_> {
         let line_bytes = self.line_bytes;
         let lines_per_page = (self.page_bytes / line_bytes) as usize;
         let slot_idx = ((paddr % self.page_bytes) / line_bytes) as usize;
-        let SegCtx {
-            l1s,
-            directories,
-            noc,
-            noc_stats,
-            topology,
-            cluster_map,
-            mc_node_set,
-            hop_table,
-            regions,
-            batch,
-            ipc_marker,
-            epoch,
-            ..
-        } = self;
+        let SegCtx { l1s, directories, net, regions, batch, .. } = self;
         if batch.dir_slots.len() != lines_per_page {
             // One-time lazy allocation (pages have one size per machine).
             batch.dir_slots.clear();
             batch.dir_slots.resize(lines_per_page, u32::MAX);
         }
-        let mut net = CohNet {
-            noc,
-            noc_stats,
-            topology,
-            cluster_map: *cluster_map,
-            mc_node_set,
-            hop_table,
-            regions,
-            ipc_marker: *ipc_marker,
-            epoch: *epoch,
-            oneoff: &mut batch.oneoff,
-        };
+        let mut net = CohNet { net, regions };
         coherence_transaction(
             &mut directories[home.0],
             l1s,
@@ -644,8 +390,8 @@ impl SegCtx<'_> {
 /// The L1-miss path of one batched reference: write-back of the victim,
 /// request to the home slice, the L2 access, the DRAM round trip on an L2
 /// miss and the response — mirroring [`Machine::access`] step for step, but
-/// charging the burst-cached routes. Returns the added cycles and the level
-/// that serviced the access.
+/// with the page's home slice and controller memoised. Returns the added
+/// cycles and the level that serviced the access.
 fn run_miss_path(
     ctx: &mut SegCtx<'_>,
     paddr: u64,
@@ -657,35 +403,11 @@ fn run_miss_path(
     if let Some(ev) = evicted {
         if ev.dirty {
             let ev_home = home_of_line(ctx.processes, ctx.regions, ctx.page_bytes, ev.addr);
-            ctx.route_oneoff(ctx.core, ev_home, PacketKind::WriteBack);
+            ctx.net.charge(ctx.core, ev_home, PacketKind::WriteBack);
         }
     }
     let home = ctx.home();
-    if !ctx.batch.request.resolved {
-        resolve_route(
-            &mut ctx.batch.request,
-            ctx.core,
-            home,
-            PacketKind::Request,
-            ctx.ipc_marker,
-            ctx.topology,
-            ctx.cluster_map,
-            ctx.mc_node_set,
-            ctx.hop_table,
-        );
-        resolve_route(
-            &mut ctx.batch.response,
-            home,
-            ctx.core,
-            PacketKind::Response,
-            ctx.ipc_marker,
-            ctx.topology,
-            ctx.cluster_map,
-            ctx.mc_node_set,
-            ctx.hop_table,
-        );
-    }
-    cycles += ctx.batch.request.charge(ctx.noc, ctx.noc_stats);
+    cycles += ctx.net.charge(ctx.core, home, PacketKind::Request);
     let l2_outcome = ctx.l2s[home.0].access(paddr, write);
     cycles += ctx.lat.l2_hit;
     ctx.l2_accesses += 1;
@@ -694,7 +416,7 @@ fn run_miss_path(
             if ev.dirty {
                 if let Ok(mc_ev) = ctx.regions.controller_of(ev.addr) {
                     let mc_ev_node = ctx.mc_nodes[mc_ev];
-                    ctx.route_oneoff(home, mc_ev_node, PacketKind::WriteBack);
+                    ctx.net.charge(home, mc_ev_node, PacketKind::WriteBack);
                 }
             }
         }
@@ -708,40 +430,16 @@ fn run_miss_path(
             }
         };
         let mc_node = ctx.mc_nodes[mc];
-        if !ctx.batch.mem_request.resolved {
-            resolve_route(
-                &mut ctx.batch.mem_request,
-                home,
-                mc_node,
-                PacketKind::Request,
-                ctx.ipc_marker,
-                ctx.topology,
-                ctx.cluster_map,
-                ctx.mc_node_set,
-                ctx.hop_table,
-            );
-            resolve_route(
-                &mut ctx.batch.mem_response,
-                mc_node,
-                home,
-                PacketKind::Response,
-                ctx.ipc_marker,
-                ctx.topology,
-                ctx.cluster_map,
-                ctx.mc_node_set,
-                ctx.hop_table,
-            );
-        }
-        cycles += ctx.batch.mem_request.charge(ctx.noc, ctx.noc_stats);
+        cycles += ctx.net.charge(home, mc_node, PacketKind::Request);
         cycles += ctx.controllers[mc].access(paddr, write, ctx.load_hint);
-        cycles += ctx.batch.mem_response.charge(ctx.noc, ctx.noc_stats);
+        cycles += ctx.net.charge(mc_node, home, PacketKind::Response);
         ctx.dram_accesses += 1;
         AccessPath::Dram { home, controller: mc }
     } else {
         ctx.l2_hits += 1;
         AccessPath::L2 { home }
     };
-    cycles += ctx.batch.response.charge(ctx.noc, ctx.noc_stats);
+    cycles += ctx.net.charge(home, ctx.core, PacketKind::Response);
     // The home directory serialises the fill: foreign copies transition
     // (and are charged) before the access is architecturally complete.
     cycles += ctx.coherence(paddr, write, false);
@@ -759,29 +457,23 @@ pub struct Machine {
     l2s: Vec<SetAssocCache>,
     /// Per-home-slice MESI directories (one per tile, like the L2 slices).
     directories: Vec<Directory>,
-    noc: LatencyModel,
-    noc_stats: NocStats,
+    net: Network,
     controllers: Vec<MemoryController>,
     mc_nodes: Vec<NodeId>,
-    /// Bitset mirror of `mc_nodes` for O(1) membership tests per routed packet.
-    mc_node_set: NodeSet,
-    /// Precomputed hop counts for every (src, dst) pair of the mesh.
-    hop_table: HopTable,
     xlate_mru: Vec<XlateMru>,
     regions: RegionMap,
     processes: Vec<ProcessState>,
     proc_stats: Vec<ProcessStats>,
-    cluster_map: Option<ClusterMap>,
     load_hint: u64,
-    ipc_marker: bool,
     core_purges: u64,
     pages_rehomed: u64,
     last_path: Option<AccessPath>,
     latency_trace: Option<LatencyTrace>,
     batch: BatchScratch,
-    /// Bumped by every mutation that can change route selection or page
-    /// homing (cluster-map changes, slice restrictions, the IPC marker,
-    /// pristine resets); invalidates the batched engine's page-route memo.
+    /// Bumped by every mutation that can change page homing (slice
+    /// restrictions, pristine resets); invalidates the batched engine's page
+    /// memo (home slice and controller). Routes need no epoch: the route
+    /// table lives inside `net` with the cluster map it was resolved under.
     route_epoch: u64,
     /// When set, [`Machine::set_process_slices`] runs the pre-batching
     /// scalar reconfiguration path (per-pin rehome scan, per-line scrub, an
@@ -873,12 +565,15 @@ impl Machine {
         let mc_nodes =
             topology.place_controllers(config.controllers, &[MeshEdge::North, MeshEdge::South]);
         let mc_node_set: NodeSet = mc_nodes.iter().copied().collect();
-        let hop_table = HopTable::new(&topology);
         let regions = RegionMap::paper_layout(config.controllers, config.dram_region_bytes);
         let clock = Clock::new(config.clock_ghz);
         Ok(Machine {
-            noc: LatencyModel::new(config.noc),
-            noc_stats: NocStats::new(),
+            net: Network {
+                routes: RouteTable::new(topology, mc_node_set),
+                model: LatencyModel::new(config.noc, topology),
+                stats: NocStats::new(),
+                ipc_marker: false,
+            },
             xlate_mru: vec![XlateMru::default(); cores],
             config,
             topology,
@@ -889,14 +584,10 @@ impl Machine {
             directories,
             controllers,
             mc_nodes,
-            mc_node_set,
-            hop_table,
             regions,
             processes: Vec::new(),
             proc_stats: Vec::new(),
-            cluster_map: None,
             load_hint: 0,
-            ipc_marker: false,
             core_purges: 0,
             pages_rehomed: 0,
             last_path: None,
@@ -946,13 +637,13 @@ impl Machine {
         for mru in &mut self.xlate_mru {
             *mru = XlateMru::default();
         }
-        self.noc.reset_load();
-        self.noc_stats.reset();
+        self.net.model.reset_load();
+        self.net.stats.reset();
+        self.net.routes.set_cluster_map(None);
+        self.net.ipc_marker = false;
         self.processes.clear();
         self.proc_stats.clear();
-        self.cluster_map = None;
         self.load_hint = 0;
-        self.ipc_marker = false;
         self.core_purges = 0;
         self.pages_rehomed = 0;
         self.last_path = None;
@@ -963,7 +654,7 @@ impl Machine {
         self.deferred_scrub_log.clear();
         self.scrub_probes = 0;
         self.scrub_drop = None;
-        self.noc.clear_link_faults();
+        self.net.model.clear_link_faults();
     }
 
     /// The mesh topology.
@@ -1034,27 +725,23 @@ impl Machine {
     /// accounts for it separately (the isolation auditor checks that every
     /// boundary-crossing packet is IPC-class).
     pub fn set_ipc_marker(&mut self, ipc: bool) {
-        self.ipc_marker = ipc;
-        self.route_epoch += 1;
+        self.net.ipc_marker = ipc;
     }
 
-    /// Activates (or clears) network-level cluster isolation.
+    /// Activates (or clears) network-level cluster isolation. Every route is
+    /// resolved afresh under the new map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the map partitions a topology of a different size.
     pub fn set_cluster_map(&mut self, map: Option<ClusterMap>) {
-        if let Some(m) = &map {
-            assert_eq!(
-                m.topology().nodes(),
-                self.topology.nodes(),
-                "cluster map must cover the machine topology"
-            );
-        }
-        self.cluster_map = map;
-        self.noc.reset_load();
-        self.route_epoch += 1;
+        self.net.routes.set_cluster_map(map);
+        self.net.model.reset_load();
     }
 
     /// The active cluster map, if any.
     pub fn cluster_map(&self) -> Option<&ClusterMap> {
-        self.cluster_map.as_ref()
+        self.net.routes.cluster_map()
     }
 
     // ----- processes -------------------------------------------------------
@@ -1121,8 +808,8 @@ impl Machine {
     /// depends on it) and no pinned page lives outside it — the call
     /// returns `(0, 0)` without bumping `route_epoch`, so a reconfiguration
     /// that re-applies a process's current restriction does not invalidate
-    /// the route/directory-slot caches machine-wide. Every cached route is
-    /// still valid by construction (nothing it depends on changed), so the
+    /// the batched engine's page memo. The memoised home and controller are
+    /// still valid by construction (nothing they depend on changed), so the
     /// no-op rule is unobservable in simulated cycles.
     pub fn set_process_slices(&mut self, pid: ProcessId, slices: &[SliceId]) -> (u64, u64) {
         if self.reference_reconfig {
@@ -1183,8 +870,8 @@ impl Machine {
     }
 
     /// The current route epoch — bumped by every mutation that can change
-    /// route selection or page homing. A diagnostic: reconfiguration and
-    /// quarantine tests assert the bump that invalidates cached routes.
+    /// page homing. A diagnostic: reconfiguration and quarantine tests
+    /// assert the bump that invalidates the memoised page homes.
     pub fn route_epoch(&self) -> u64 {
         self.route_epoch
     }
@@ -1295,13 +982,22 @@ impl Machine {
 
     /// Degrades the directional NoC link `(from, to)` by `penalty_cycles`
     /// per traversal (0 repairs it); see [`LatencyModel::set_link_fault`].
-    pub fn set_link_fault(&mut self, from: NodeId, to: NodeId, penalty_cycles: u64) {
-        self.noc.set_link_fault(from, to, penalty_cycles);
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NotALink`] when `from` and `to` are not mesh neighbours.
+    pub fn set_link_fault(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        penalty_cycles: u64,
+    ) -> Result<(), NotALink> {
+        self.net.model.set_link_fault(from, to, penalty_cycles)
     }
 
     /// Repairs every degraded NoC link.
     pub fn clear_link_faults(&mut self) {
-        self.noc.clear_link_faults();
+        self.net.model.clear_link_faults();
     }
 
     /// Degrades (or, with 0, repairs) memory controller `mc`: every request
@@ -1614,7 +1310,7 @@ impl Machine {
                     scrub_from = Some(old);
                 }
             }
-            // If the batched engine's page-route memo is bound to exactly
+            // If the batched engine's page memo is bound to exactly
             // that (pid, ppn), drop it so the next miss re-reads the home
             // map like the scalar path does.
             if let Some((_, _, kpid, kppn)) = self.batch.key {
@@ -1651,34 +1347,6 @@ impl Machine {
             .map(|ppn| ppn * page_bytes + (vaddr % page_bytes))
     }
 
-    fn route_latency(&mut self, src: NodeId, dst: NodeId, kind: PacketKind) -> u64 {
-        let Machine {
-            batch,
-            noc,
-            noc_stats,
-            topology,
-            cluster_map,
-            mc_node_set,
-            hop_table,
-            ipc_marker,
-            route_epoch,
-            ..
-        } = self;
-        batch.oneoff.charge(
-            *route_epoch,
-            src,
-            dst,
-            kind,
-            *ipc_marker,
-            topology,
-            cluster_map.as_ref(),
-            mc_node_set,
-            hop_table,
-            noc,
-            noc_stats,
-        )
-    }
-
     // ----- the access path -------------------------------------------------
 
     /// Performs one memory access by the thread of `pid` running on `core`,
@@ -1709,7 +1377,7 @@ impl Machine {
                 if ev.dirty {
                     let home =
                         home_of_line(&self.processes, &self.regions, self.page_bytes(), ev.addr);
-                    self.route_latency(core, home, PacketKind::WriteBack);
+                    self.net.charge(core, home, PacketKind::WriteBack);
                 }
             }
             // 4. Route to the home L2 slice.
@@ -1717,7 +1385,7 @@ impl Machine {
             let home_slice =
                 self.processes[pid.0].home.home_of(PageId(ppn)).map(|s| s.0).unwrap_or(core.0);
             let home = NodeId(home_slice);
-            cycles += self.route_latency(core, home, PacketKind::Request);
+            cycles += self.net.charge(core, home, PacketKind::Request);
             let l2_outcome = self.l2s[home.0].access(paddr, write);
             cycles += lat.l2_hit;
             if l2_outcome.is_miss() {
@@ -1725,22 +1393,22 @@ impl Machine {
                     if ev.dirty {
                         if let Ok(mc) = self.regions.controller_of(ev.addr) {
                             let mc_node = self.mc_nodes[mc];
-                            self.route_latency(home, mc_node, PacketKind::WriteBack);
+                            self.net.charge(home, mc_node, PacketKind::WriteBack);
                         }
                     }
                 }
                 // 5. Off-chip access through the owning controller.
                 let mc = self.regions.controller_of(paddr).unwrap_or(0);
                 let mc_node = self.mc_nodes[mc];
-                cycles += self.route_latency(home, mc_node, PacketKind::Request);
+                cycles += self.net.charge(home, mc_node, PacketKind::Request);
                 cycles += self.controllers[mc].access(paddr, write, self.load_hint);
-                cycles += self.route_latency(mc_node, home, PacketKind::Response);
+                cycles += self.net.charge(mc_node, home, PacketKind::Response);
                 path = AccessPath::Dram { home, controller: mc };
                 self.proc_stats[pid.0].dram_accesses += 1;
             } else {
                 path = AccessPath::L2 { home };
             }
-            cycles += self.route_latency(home, core, PacketKind::Response);
+            cycles += self.net.charge(home, core, PacketKind::Response);
             // 6. The home directory serialises the fill: foreign copies
             // transition (and are charged) before the access completes.
             cycles += self.coherence_at(home, core, paddr, write, false);
@@ -1798,33 +1466,8 @@ impl Machine {
         upgrade: bool,
     ) -> u64 {
         let line_bytes = self.config.l1.line_bytes as u64;
-        let Machine {
-            directories,
-            l1s,
-            noc,
-            noc_stats,
-            topology,
-            cluster_map,
-            mc_node_set,
-            hop_table,
-            regions,
-            batch,
-            ipc_marker,
-            route_epoch,
-            ..
-        } = self;
-        let mut net = CohNet {
-            noc,
-            noc_stats,
-            topology,
-            cluster_map: cluster_map.as_ref(),
-            mc_node_set,
-            hop_table,
-            regions,
-            ipc_marker: *ipc_marker,
-            epoch: *route_epoch,
-            oneoff: &mut batch.oneoff,
-        };
+        let Machine { directories, l1s, net, regions, .. } = self;
+        let mut net = CohNet { net, regions };
         // `slot_hint: None` — the scalar path is the unmemoised reference
         // the batched engine's fast path is differentially tested against.
         coherence_transaction(
@@ -1870,8 +1513,8 @@ impl Machine {
     /// decoding the stream and calling [`Machine::access`] per reference —
     /// byte-identically so, in every observable effect (per-access latencies,
     /// cache/TLB/NoC/DRAM state and statistics, the latency trace) — but
-    /// exploits the run structure to do per-page and per-route work once per
-    /// run instead of once per reference. `tests/hot_path_equivalence.rs`
+    /// exploits the run structure to do per-page work once per run instead
+    /// of once per reference. `tests/hot_path_equivalence.rs`
     /// drives the two paths differentially.
     pub fn access_stream(&mut self, core: NodeId, pid: ProcessId, stream: &RefStream) -> u64 {
         let mut total = 0;
@@ -1886,16 +1529,19 @@ impl Machine {
     ///
     /// The run is split at page boundaries; each page segment then pays one
     /// bounds assertion, one batched TLB update, one translation and at most
-    /// one route resolution per packet class, instead of each per reference:
+    /// one home-slice and one controller lookup, instead of each per
+    /// reference:
     ///
     /// * references in the same page share the TLB outcome of the first (a
     ///   page-run can only miss on its first reference) and its translation;
     /// * references in the same L1 line beyond the first are guaranteed hits
     ///   and collapse into one bulk recency/statistics update;
-    /// * all L1 misses of a page segment route to the same home slice and —
-    ///   if they reach DRAM — the same controller, so the four packet routes
-    ///   (request/response, core↔home and home↔controller) are resolved once
-    ///   and each packet only performs its per-link load observations.
+    /// * all L1 misses of a page segment go to the same home slice and — if
+    ///   they reach DRAM — the same controller, memoised until the page,
+    ///   core or process changes or pages are re-homed.
+    ///
+    /// Every packet, here and in the scalar path, is charged from the one
+    /// route table, so it only performs its per-link load observations.
     ///
     /// # Panics
     ///
@@ -1907,8 +1553,8 @@ impl Machine {
         assert!(core.0 < self.config.cores(), "core {core} out of range");
         assert!(pid.0 < self.processes.len(), "unknown process {pid}");
         if run.len == 1 {
-            // Irregular reference: still worth the segment path — the
-            // page-route memo usually still holds this page's routes.
+            // Irregular reference: still worth the segment path — the page
+            // memo usually still holds this page's home and controller.
             return self.access_page_segment(core, pid, run);
         }
         let page_bytes = self.page_bytes();
@@ -1934,14 +1580,9 @@ impl Machine {
             l1s,
             l2s,
             directories,
-            noc,
-            noc_stats,
+            net,
             controllers,
             mc_nodes,
-            mc_node_set,
-            hop_table,
-            topology,
-            cluster_map,
             processes,
             proc_stats,
             regions,
@@ -1949,8 +1590,6 @@ impl Machine {
             last_path,
             batch,
             load_hint,
-            ipc_marker,
-            route_epoch,
             ..
         } = self;
         let mut ctx = SegCtx {
@@ -1963,19 +1602,12 @@ impl Machine {
             l1s,
             directories,
             l2s,
-            noc,
-            noc_stats,
+            net,
             controllers,
             mc_nodes,
-            mc_node_set,
-            hop_table,
-            topology,
-            cluster_map: cluster_map.as_ref(),
             processes,
             regions,
             batch,
-            ipc_marker: *ipc_marker,
-            epoch: *route_epoch,
             load_hint: *load_hint,
             l2_accesses: 0,
             l2_hits: 0,
@@ -2161,7 +1793,7 @@ impl Machine {
     /// has drained, so no queue occupancy survives an enclave boundary; this
     /// is the network half of that fence. Returns the fence cycles charged.
     pub fn purge_network(&mut self) -> u64 {
-        self.noc.reset_load();
+        self.net.model.reset_load();
         self.config.latency.purge_fence
     }
 
@@ -2266,7 +1898,7 @@ impl Machine {
         let cache_flush_traffic =
             set.contains(FlushResource::L1) || set.contains(FlushResource::Directory);
         if set.contains(FlushResource::NocLoad) || cache_flush_traffic {
-            self.noc.reset_load();
+            self.net.model.reset_load();
         }
         if set.contains(FlushResource::Controller) || cache_flush_traffic {
             for mc in &mut self.controllers {
@@ -2295,7 +1927,7 @@ impl Machine {
         for d in &self.directories {
             out.directory.merge(d.stats());
         }
-        out.noc = self.noc_stats.clone();
+        out.noc = self.net.stats.clone();
         out.core_purges = self.core_purges;
         out.pages_rehomed = self.pages_rehomed;
         out
@@ -2319,7 +1951,7 @@ impl Machine {
         for mc in &mut self.controllers {
             mc.reset_stats();
         }
-        self.noc_stats.reset();
+        self.net.stats.reset();
         for s in &mut self.proc_stats {
             s.reset();
         }
@@ -2516,7 +2148,7 @@ mod tests {
     fn pristine_reset_repairs_every_injected_fault() {
         let mut m = machine();
         m.set_scrub_drop_fault(7, 1000);
-        m.set_link_fault(NodeId(0), NodeId(1), 77);
+        m.set_link_fault(NodeId(0), NodeId(1), 77).unwrap();
         m.set_controller_fault_stall(0, 55);
         let pid = m.create_process("p", SecurityClass::Insecure);
         for p in 0..4u64 {
@@ -2526,8 +2158,26 @@ mod tests {
         assert!(!m.dropped_scrub_log().is_empty());
         m.reset_pristine();
         assert!(m.dropped_scrub_log().is_empty());
-        assert_eq!(m.noc.faulted_links(), 0);
+        assert_eq!(m.net.model.faulted_links(), 0);
         assert_eq!(m.controllers[0].fault_stall(), 0);
+    }
+
+    #[test]
+    fn link_faults_are_refused_off_the_mesh_and_charged_on_it() {
+        let drive = |m: &mut Machine| -> u64 {
+            let pid = m.create_process("p", SecurityClass::Insecure);
+            (0..256u64).map(|i| m.access(NodeId(1), pid, (i % 64) * 4096, i % 3 == 0)).sum()
+        };
+        let healthy = drive(&mut machine());
+        let mut m = machine();
+        // On the 2×2 mesh: a diagonal pair, a self-pair and an absent node.
+        for (from, to) in [(0, 3), (1, 1), (0, 4)] {
+            let (from, to) = (NodeId(from), NodeId(to));
+            assert_eq!(m.set_link_fault(from, to, 1_000), Err(NotALink { from, to }));
+        }
+        assert_eq!(m.net.model.faulted_links(), 0, "a refused pair leaves no dead entry");
+        m.set_link_fault(NodeId(1), NodeId(0), 1_000).unwrap();
+        assert!(drive(&mut m) > healthy, "a fault on a used link must cost cycles");
     }
 
     #[test]

@@ -232,26 +232,36 @@ impl RefStream {
         self.total = 0;
     }
 
-    /// The sub-runs covering the reference index range `[start, end)` — used
-    /// to carve a stream into per-lane chunks without re-materialising it.
-    pub fn ref_range(&self, start: u64, end: u64) -> impl Iterator<Item = RefRun> + '_ {
-        let mut offset = 0u64;
-        let mut cursor = start;
-        let end = end.min(self.total);
-        self.runs
-            .iter()
-            .filter_map(move |run| {
-                let run_start = offset;
-                offset += run.len as u64;
-                if cursor >= end || offset <= cursor {
-                    return None;
-                }
-                let skip = (cursor - run_start) as u32;
-                let take = (end - cursor).min((run.len - skip) as u64) as u32;
-                cursor += take as u64;
-                Some(run.tail(skip).take(take))
-            })
-            .filter(|r| r.len > 0)
+    /// Splits the stream into `lanes` consecutive chunks of `⌈len / lanes⌉`
+    /// references each (the last may be shorter, and trailing lanes empty),
+    /// in one pass over the runs. Yields `(lane, piece)` in stream order:
+    /// lane `k`'s pieces decode to references `[k·chunk, min((k+1)·chunk,
+    /// len))`, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is zero.
+    pub fn lanes(&self, lanes: usize) -> impl Iterator<Item = (usize, RefRun)> + '_ {
+        assert!(lanes > 0, "a stream splits into at least one lane");
+        let chunk = self.total.div_ceil(lanes as u64);
+        let mut runs = self.runs.iter();
+        let mut rest = RefRun::new(0, 0, 0, false);
+        let mut lane = 0;
+        let mut room = chunk;
+        std::iter::from_fn(move || {
+            while rest.len == 0 {
+                rest = *runs.next()?;
+            }
+            let take = room.min(rest.len as u64) as u32;
+            let piece = (lane, rest.take(take));
+            rest = rest.tail(take);
+            room -= take as u64;
+            if room == 0 {
+                lane += 1;
+                room = chunk;
+            }
+            Some(piece)
+        })
     }
 }
 
@@ -356,7 +366,7 @@ mod tests {
     }
 
     #[test]
-    fn ref_range_slices_by_reference_index() {
+    fn lanes_slice_by_reference_index() {
         let mut s = RefStream::new();
         for i in 0..10u64 {
             s.push(MemRef::read(i * 64));
@@ -366,14 +376,20 @@ mod tests {
             s.push(MemRef::read(0x10_000 + i * 128));
         }
         let all: Vec<MemRef> = s.iter().collect();
-        for (start, end) in [(0u64, 16u64), (3, 12), (9, 11), (0, 0), (12, 16), (15, 99)] {
-            let sliced: Vec<MemRef> =
-                s.ref_range(start, end).flat_map(|r| r.iter().collect::<Vec<_>>()).collect();
-            let lo = (start as usize).min(all.len());
-            let hi = (end as usize).min(all.len());
-            let expect = if lo < hi { all[lo..hi].to_vec() } else { Vec::new() };
-            assert_eq!(sliced, expect, "range {start}..{end}");
+        for lanes in [1usize, 2, 3, 5, 16, 40] {
+            let chunk = all.len().div_ceil(lanes);
+            let mut decoded = vec![Vec::new(); lanes];
+            for (lane, piece) in s.lanes(lanes) {
+                assert!(piece.len > 0, "{lanes} lanes: empty piece");
+                decoded[lane].extend(piece.iter());
+            }
+            for (k, got) in decoded.iter().enumerate() {
+                let lo = (k * chunk).min(all.len());
+                let hi = ((k + 1) * chunk).min(all.len());
+                assert_eq!(got[..], all[lo..hi], "{lanes} lanes, lane {k}");
+            }
         }
+        assert_eq!(RefStream::new().lanes(4).count(), 0);
     }
 
     #[test]

@@ -8,9 +8,19 @@
 //! IRONHIDE 20% faster, the purge-component gain, Figure 7's miss-rate
 //! gains — and no tolerance is ever widened to hide one. Figure 8's Optimal
 //! row needs the exhaustive-policy cells, which only the `paper_figures`
-//! bench runs.
+//! bench runs. The grid's summed simulated cycles are pinned too: they are
+//! perfbench's fig-paper identity checksum.
 
+use std::sync::OnceLock;
+
+use ironhide::prelude::SweepMatrix;
 use ironhide_bench::experiments;
+
+/// The 36-cell Paper-scale heuristic sweep, run once for every test here.
+fn paper_matrix() -> &'static SweepMatrix {
+    static MATRIX: OnceLock<SweepMatrix> = OnceLock::new();
+    MATRIX.get_or_init(|| experiments::paper(false, 2).expect("the paper sweep runs"))
+}
 
 /// (figure, quantity, paper value, reproduced value at three decimals), in
 /// scorecard order.
@@ -27,8 +37,7 @@ const PINNED: [(&str, &str, f64, &str); 8] = [
 
 #[test]
 fn every_reproduced_paper_value_matches_its_pin() {
-    let matrix = experiments::paper(false, 2).expect("the paper sweep runs");
-    let rows: Vec<(&str, &str, f64, String)> = matrix
+    let rows: Vec<(&str, &str, f64, String)> = paper_matrix()
         .scorecard()
         .iter()
         .map(|r| (r.value.figure, r.value.quantity, r.value.paper, format!("{:.3}", r.reproduced)))
@@ -38,4 +47,14 @@ fn every_reproduced_paper_value_matches_its_pin() {
         .map(|&(figure, quantity, paper, value)| (figure, quantity, paper, value.into()))
         .collect();
     assert_eq!(rows, pinned, "a reproduced paper value moved: the model changed");
+}
+
+/// The same grid is perfbench's fig-paper workload, whose identity checksum
+/// is the sum of every cell's `total_cycles`: pinned here so tier 1 checks it.
+#[test]
+fn paper_grid_cycles_match_the_perfbench_identity() {
+    let cells = &paper_matrix().cells;
+    assert_eq!(cells.len(), 36);
+    let total: u64 = cells.iter().map(|c| c.report.total_cycles).sum();
+    assert_eq!(total, 1_499_884_198, "the paper grid's simulated cycles moved: the model changed");
 }

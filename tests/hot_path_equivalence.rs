@@ -488,12 +488,13 @@ proptest! {
     }
 
     /// A `RefStream` round-trips: greedy RLE encoding of an arbitrary
-    /// reference sequence decodes back to exactly that sequence, and
-    /// `ref_range` slices agree with slicing the decoded sequence.
+    /// reference sequence decodes back to exactly that sequence, and its
+    /// one-pass lane split hands lane `k` exactly the references
+    /// `[k·chunk, min((k+1)·chunk, n))`, in order, for every lane count a
+    /// work unit can use.
     #[test]
     fn ref_stream_roundtrip_and_slicing(
         words in prop::collection::vec(any::<u64>(), 1..200),
-        cut in 0usize..210,
     ) {
         let refs: Vec<ironhide::ironhide_sim::stream::MemRef> = words
             .iter()
@@ -505,17 +506,21 @@ proptest! {
         let stream = RefStream::from_refs(refs.iter().copied());
         prop_assert_eq!(stream.len(), refs.len());
         prop_assert_eq!(stream.iter().collect::<Vec<_>>(), refs.clone());
-        let cut = cut.min(refs.len());
-        let front: Vec<_> = stream
-            .ref_range(0, cut as u64)
-            .flat_map(|r| r.iter().collect::<Vec<_>>())
-            .collect();
-        let back: Vec<_> = stream
-            .ref_range(cut as u64, refs.len() as u64)
-            .flat_map(|r| r.iter().collect::<Vec<_>>())
-            .collect();
-        prop_assert_eq!(&front[..], &refs[..cut]);
-        prop_assert_eq!(&back[..], &refs[cut..]);
+        let n = refs.len();
+        for lanes in 1..=64usize {
+            let chunk = n.div_ceil(lanes);
+            let mut decoded = vec![Vec::new(); lanes];
+            let mut last_lane = 0;
+            for (lane, piece) in stream.lanes(lanes) {
+                prop_assert!(lane >= last_lane, "{} lanes: lane {} after {}", lanes, lane, last_lane);
+                last_lane = lane;
+                decoded[lane].extend(piece.iter());
+            }
+            for (k, got) in decoded.iter().enumerate() {
+                let (lo, hi) = ((k * chunk).min(n), ((k + 1) * chunk).min(n));
+                prop_assert_eq!(&got[..], &refs[lo..hi], "{} lanes, lane {}", lanes, k);
+            }
+        }
     }
 }
 
@@ -549,16 +554,16 @@ fn private_page_fast_path_fires_and_stays_byte_identical() {
     assert_eq!(format!("{:?}", batched.stats()), format!("{:?}", scalar.stats()));
 }
 
-/// Stale one-off route-cache slots and directory slot hints must never
-/// survive `reset_pristine` or any route-affecting mutation: a machine
-/// that ran a full prelude — cluster isolation, IPC-marked traffic,
+/// Stale resolved routes, memoised page homes and directory slot hints
+/// must never survive `reset_pristine` or any route-affecting mutation: a
+/// machine that ran a full prelude — cluster isolation, IPC-marked traffic,
 /// restricted homes, traffic from every core — and was then reset must
 /// behave byte-identically to a never-used machine over an op sequence
-/// that itself reconfigures routing mid-stream. This pins the
-/// `BatchScratch` invariant that `rebind` deliberately does *not* clear
-/// `oneoff`/`dir_slots`: their validity is epoch- respectively
-/// structurally-keyed, not lifecycle-managed, so a reset that merely bumps
-/// `route_epoch` must be indistinguishable from empty caches.
+/// that itself reconfigures routing mid-stream. This pins three
+/// invariants: the route table forgets its routes whenever the cluster map
+/// is replaced (including the reset's return to no map); the page memo is
+/// keyed by `route_epoch`, which the reset bumps; and `dir_slots` is never
+/// cleared at all, because every hint is revalidated before use.
 #[test]
 fn stale_caches_never_survive_pristine_reset() {
     let topo = MeshTopology::new(2, 2);

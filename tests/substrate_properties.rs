@@ -7,7 +7,32 @@ use ironhide::ironhide_cache::{
     CacheConfig, HomeMap, PageId, SetAssocCache, SliceId, Tlb, TlbConfig,
 };
 use ironhide::ironhide_core::realloc::ReallocPolicy;
-use ironhide::ironhide_mesh::{MeshTopology, NodeId, RoutingAlgorithm};
+use ironhide::ironhide_mesh::{
+    ClusterId, ClusterMap, LatencyModel, MeshEdge, MeshTopology, NocLatencyConfig, NodeId, NodeSet,
+    RouteIter, RouteTable, RoutingAlgorithm,
+};
+
+/// The route selection rule the route table memoises: edge traffic (to or
+/// from a controller attachment node) routes X-Y; traffic within one
+/// cluster takes the cluster's contained route, falling back to X-Y;
+/// traffic across clusters routes X-Y, as does everything without a map.
+fn selection_rule(
+    topology: MeshTopology,
+    edge: &NodeSet,
+    map: Option<&ClusterMap>,
+    src: NodeId,
+    dst: NodeId,
+) -> (RouteIter, Option<(ClusterId, ClusterId)>) {
+    let xy = topology.route_iter(src, dst, RoutingAlgorithm::XY);
+    match map {
+        Some(map) if !edge.contains(src) && !edge.contains(dst) => {
+            let (a, b) = (map.cluster_of(src), map.cluster_of(dst));
+            let route = if a == b { map.contained_route(src, dst, a).unwrap_or(xy) } else { xy };
+            (route, Some((a, b)))
+        }
+        _ => (xy, None),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -102,5 +127,66 @@ proptest! {
         let best = ReallocPolicy::Optimal.decide(64, 32, surface).secure_cores;
         let heuristic = ReallocPolicy::Heuristic.decide(64, 32, surface).secure_cores;
         prop_assert!(surface(best) <= surface(heuristic));
+    }
+
+    /// The route table agrees with the selection rule for every `(src,
+    /// dst)` — links and cluster pair — across switches between two
+    /// row-major cluster maps (and none) mid-stream, and charging packets
+    /// through it matches `LatencyModel::traverse` over the rule's route on
+    /// a reference model, packet by packet. Both access engines charge from
+    /// this one table, so their differential cannot catch a wrong route;
+    /// this property can.
+    #[test]
+    fn route_table_matches_the_selection_rule(
+        width in 1usize..=8,
+        height in 1usize..=8,
+        controllers in 1usize..=4,
+        split_a in 0usize..=64,
+        split_b in 0usize..=64,
+        phases in prop::collection::vec(0usize..3, 1..6),
+        packets in prop::collection::vec(any::<u64>(), 1..60),
+    ) {
+        let topology = MeshTopology::new(width, height);
+        let nodes = topology.nodes();
+        let edge: NodeSet = topology
+            .place_controllers(controllers, &[MeshEdge::North, MeshEdge::South])
+            .into_iter()
+            .collect();
+        let maps = [
+            None,
+            Some(ClusterMap::row_major_split(topology, split_a % (nodes + 1))),
+            Some(ClusterMap::row_major_split(topology, split_b % (nodes + 1))),
+        ];
+        let mut table = RouteTable::new(topology, edge);
+        let mut charged = LatencyModel::new(NocLatencyConfig::default(), topology);
+        let mut reference = LatencyModel::new(NocLatencyConfig::default(), topology);
+        for &phase in &phases {
+            let map = maps[phase].as_ref();
+            table.set_cluster_map(map.cloned());
+            charged.reset_load();
+            reference.reset_load();
+            for &word in &packets {
+                let (src, dst) = (NodeId(word as usize % nodes), NodeId((word >> 8) as usize % nodes));
+                let flits = if word >> 16 & 1 == 1 { 5 } else { 1 };
+                let (rule, _) = selection_rule(topology, &edge, map, src, dst);
+                prop_assert_eq!(
+                    charged.traverse_links(table.route(src, dst).links, flits),
+                    reference.traverse(rule, flits),
+                    "packet {:?} -> {:?} under map {}", src, dst, phase
+                );
+            }
+            for src in topology.iter_nodes() {
+                for dst in topology.iter_nodes() {
+                    let (rule, clusters) = selection_rule(topology, &edge, map, src, dst);
+                    let slots: Vec<u16> = rule
+                        .links()
+                        .map(|(a, b)| topology.link_slot(a, b).expect("a link") as u16)
+                        .collect();
+                    let route = table.route(src, dst);
+                    prop_assert_eq!(route.links, &slots[..], "{:?} -> {:?} under map {}", src, dst, phase);
+                    prop_assert_eq!(route.clusters, clusters, "{:?} -> {:?} under map {}", src, dst, phase);
+                }
+            }
+        }
     }
 }
