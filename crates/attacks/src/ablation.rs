@@ -11,8 +11,8 @@
 //! the SIMF flush-everything preset that sits.
 //!
 //! The channel axis is the complete shipped arsenal: the five
-//! [`ChannelKind`] stream channels plus the self-orchestrating
-//! reconfiguration-window attack under the shipped purge order.
+//! [`ChannelKind`] stream channels plus the reconfiguration-window attack
+//! under the shipped purge order.
 
 use ironhide_core::cluster::PurgeOrder;
 use ironhide_core::sweep::{AblationGrid, AblationSpec, AttackSpec, ScalePoint};

@@ -6,7 +6,7 @@
 //! encodes a 1 by executing its secret burst and a 0 by staying idle; the
 //! attacker decodes from the latency of its probe stream.
 //!
-//! All four channels share one design rule: the *protocol* traffic (the
+//! All five channels share one design rule: the *protocol* traffic (the
 //! interaction both parties legitimately perform, e.g. reading the shared
 //! IPC buffer) is identical in every slot, so any decodable signal must come
 //! from secret-dependent microarchitectural residue — exactly the leakage
@@ -23,7 +23,7 @@ use ironhide_core::attack::{ChannelPlacement, CovertChannel};
 use ironhide_core::ipc::SharedIpcBuffer;
 use ironhide_sim::config::MachineConfig;
 
-/// The four covert channels of the suite, each targeting a different piece
+/// The five stream channels of the suite, each targeting a different piece
 /// of shared microarchitecture state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChannelKind {

@@ -7,20 +7,25 @@
 //! Bash"-style self-attacks on defences), rather than by asserting internal
 //! invariants alone.
 //!
-//! * [`channels`] — four paired attacker/victim workloads, each trying to
-//!   transmit a pseudo-random bit string through one piece of shared
-//!   microarchitecture state: L2-slice occupancy (prime+probe), NoC
-//!   link-contention timing, TLB occupancy, and a timing probe on the shared
-//!   IPC buffer.
+//! Every channel runs through one driver, `ironhide-core`'s
+//! [`AttackRunner`](ironhide_core::attack::AttackRunner): it recycles the
+//! machine, attests the victim, places the pair, warms up, transmits the
+//! payload and audits isolation. A channel supplies only its per-slot
+//! transmission and the cores its attacker and victim issue from.
+//!
+//! * [`channels`] — the stream channels: paired attacker/victim workloads,
+//!   each trying to transmit a pseudo-random bit string through one piece of
+//!   shared microarchitecture state: L2-slice occupancy (prime+probe), NoC
+//!   link-contention timing, TLB occupancy, a timing probe on the shared IPC
+//!   buffer, and coherence-directory state.
 //! * [`oracle`] — the [`LeakageOracle`]: generates a balanced payload,
-//!   co-schedules the pair through `ironhide-core`'s
-//!   [`AttackRunner`](ironhide_core::attack::AttackRunner), decodes the
+//!   transmits it through a stream channel's six-step slot, decodes the
 //!   received bits from the attacker's probe latencies and reports bit-error
 //!   rate, channel capacity and a per-channel verdict.
-//! * [`window`] — the reconfiguration-window attack: a self-orchestrating
-//!   channel that probes the moved slices during the stall sequence of a
-//!   cluster reconfiguration, proving the window CLOSED under the shipped
-//!   purge→rehome→scrub order and OPEN under an injected mis-ordering.
+//! * [`window`] — the reconfiguration-window attack: its slot probes the
+//!   moved slices during the stall sequence of a cluster reconfiguration,
+//!   proving the window CLOSED under the shipped purge→rehome→scrub order
+//!   and OPEN under an injected mis-ordering.
 //! * [`ablation`] — the defence-ablation grid for the `TemporalFence`
 //!   architecture: the full channel arsenal swept against a ladder of flush
 //!   subsets, answering which erasure closes which channel at what switch

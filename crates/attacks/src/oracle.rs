@@ -15,7 +15,7 @@
 
 use ironhide_core::arch::Architecture;
 use ironhide_core::attack::{
-    AttackOutcome, AttackRunner, AttackTrace, ChannelVerdict, CovertChannel,
+    AttackOutcome, AttackRunner, AttackTrace, ChannelVerdict, CovertChannel, StreamSlot,
 };
 use ironhide_core::runner::RunError;
 use ironhide_core::sweep::{AttackGrid, AttackSpec, ScalePoint};
@@ -33,16 +33,13 @@ const NOISE_FLOOR_CYCLES: u64 = 16;
 pub struct LeakageOracle {
     config: MachineConfig,
     payload_bits: usize,
-    warmup_slots: usize,
 }
 
 impl LeakageOracle {
     /// Creates an oracle attacking machines built from `config`, with the
-    /// smoke-scale payload (32 bits), eight warm-up slots (the analytical
-    /// congestion estimators converge geometrically and need a few slots of
-    /// both symbols).
+    /// smoke-scale payload (32 bits).
     pub fn new(config: MachineConfig) -> Self {
-        LeakageOracle { config, payload_bits: 32, warmup_slots: 8 }
+        LeakageOracle { config, payload_bits: 32 }
     }
 
     /// Overrides the payload length.
@@ -52,17 +49,7 @@ impl LeakageOracle {
     /// Panics if `bits` is zero or odd — the payload must be balanceable so
     /// a signal-free channel decodes at exactly 50% BER.
     pub fn with_payload_bits(mut self, bits: usize) -> Self {
-        assert!(
-            bits > 0 && bits.is_multiple_of(2),
-            "payload must be a non-zero even number of bits"
-        );
-        self.payload_bits = bits;
-        self
-    }
-
-    /// Overrides the number of unmeasured warm-up slots.
-    pub fn with_warmup(mut self, slots: usize) -> Self {
-        self.warmup_slots = slots;
+        self.payload_bits = checked_payload(bits);
         self
     }
 
@@ -108,9 +95,8 @@ impl LeakageOracle {
         slot: &mut Option<ironhide_sim::machine::Machine>,
     ) -> Result<AttackOutcome, RunError> {
         let bits = balanced_bits(seed, self.payload_bits);
-        let runner = AttackRunner::new(self.config.clone()).with_warmup(self.warmup_slots);
-        let (trace, machine) = runner.run_recycled(arch, channel, &bits, slot.take())?;
-        *slot = Some(machine);
+        let runner = AttackRunner::new(self.config.clone());
+        let trace = runner.run(arch, &mut StreamSlot(channel), &bits, slot)?;
         Ok(judge(channel.name(), arch, &bits, trace))
     }
 }
@@ -157,7 +143,7 @@ pub fn judge(
 ///
 /// Panics if `n` is zero or odd.
 pub fn balanced_bits(seed: u64, n: usize) -> Vec<bool> {
-    assert!(n > 0 && n.is_multiple_of(2), "payload must be a non-zero even number of bits");
+    let n = checked_payload(n);
     let mut bits: Vec<bool> = (0..n).map(|i| i < n / 2).collect();
     let mut state = seed;
     for i in (1..n).rev() {
@@ -166,6 +152,18 @@ pub fn balanced_bits(seed: u64, n: usize) -> Vec<bool> {
         bits.swap(i, (z % (i as u64 + 1)) as usize);
     }
     bits
+}
+
+/// Returns the payload length `n` if it is non-zero and even: only such a
+/// payload balances, so that a signal-free channel decodes at exactly 50%
+/// BER.
+///
+/// # Panics
+///
+/// Panics if `n` is zero or odd.
+pub(crate) fn checked_payload(n: usize) -> usize {
+    assert!(n > 0 && n.is_multiple_of(2), "payload must be a non-zero even number of bits");
+    n
 }
 
 /// Unsupervised threshold decoding: samples above the midpoint of the

@@ -1,6 +1,6 @@
 //! The reconfiguration-window covert channel.
 //!
-//! The four [`crate::channels`] channels attack the *steady state* of an
+//! The [`crate::channels`] stream channels attack the *steady state* of an
 //! architecture; this one attacks the **stall sequence of a dynamic
 //! reconfiguration** — the only moment IRONHIDE's resources change hands.
 //! The victim dirty-writes a secret-dependent buffer spread over its secure
@@ -18,30 +18,28 @@
 //! NoC model turns into congestion the attacker's own sweep can time — the
 //! window is open exactly when the purge ordering is violated.
 //!
-//! The channel is self-orchestrating: unlike the stream channels it cannot
-//! be co-scheduled by the [`AttackRunner`](ironhide_core::attack::AttackRunner)
-//! because the transmission medium *is* the reconfiguration itself, driven
-//! per slot through [`ClusterManager::reconfigure_windowed`]. Under the
-//! temporally shared architectures no reconfiguration exists; the same
-//! victim-burst / attacker-sweep pair runs across the enclave boundary
-//! instead, giving the usual differential: open on the insecure baseline,
-//! closed under MI6's boundary purges.
+//! Like every covert channel, it runs through the
+//! [`AttackRunner`], which recycles the machine, attests the victim, places
+//! the pair, warms up and audits isolation. The window supplies only its
+//! slot, whose transmission medium *is* the reconfiguration itself, driven
+//! through [`ClusterManager::reconfigure_windowed`], plus the arming and the
+//! wrap-up of an injected dropped-scrub fault. Under the temporally shared
+//! architectures no reconfiguration exists; the same victim-burst /
+//! attacker-sweep pair runs across the enclave boundary instead, giving the
+//! usual differential: open on the insecure baseline, closed under MI6's
+//! boundary purges.
 
-use ironhide_core::arch::{ArchParams, Architecture};
-use ironhide_core::attack::{AttackOutcome, AttackTrace};
-use ironhide_core::boundary::{boundary_cost, place};
+use ironhide_core::arch::Architecture;
+use ironhide_core::attack::{AttackOutcome, AttackRun, AttackRunner, Transmission};
 use ironhide_core::cluster::{ClusterManager, PurgeOrder};
-use ironhide_core::isolation::IsolationAuditor;
-use ironhide_core::kernel::{AppDomain, SecureKernel};
 use ironhide_core::runner::RunError;
-use ironhide_core::speccheck::SpeculativeAccessCheck;
 use ironhide_core::sweep::AttackSpec;
 use ironhide_mesh::{ClusterId, NodeId};
 use ironhide_sim::config::MachineConfig;
 use ironhide_sim::machine::Machine;
-use ironhide_sim::process::{ProcessId, SecurityClass};
+use ironhide_sim::process::ProcessId;
 
-use crate::oracle::{balanced_bits, judge, LeakageOracle};
+use crate::oracle::{balanced_bits, checked_payload, judge, LeakageOracle};
 
 /// Channel label under the shipped purge ordering.
 pub const SHIPPED_LABEL: &str = "reconfig-window";
@@ -91,6 +89,14 @@ impl FaultAudit {
     pub fn is_clean(&self) -> bool {
         self.dropped_detected == self.dropped_recovered && self.dropped_unrecovered == 0
     }
+
+    /// Runs the scrub audit on `machine`: every dropped packet it replays
+    /// counts as detected and recovered alike.
+    fn recover(&mut self, machine: &mut Machine) {
+        let recovered = machine.recover_dropped_scrubs();
+        self.dropped_detected += recovered;
+        self.dropped_recovered += recovered;
+    }
 }
 
 /// The reconfiguration-window attack: victim, attacker and the per-slot
@@ -99,54 +105,22 @@ impl FaultAudit {
 #[derive(Debug, Clone)]
 pub struct WindowAttack {
     config: MachineConfig,
-    params: ArchParams,
     order: PurgeOrder,
     fault: FaultMode,
     drop_rate_per_mille: u32,
     payload_bits: usize,
-    warmup_slots: usize,
-}
-
-/// Mutable per-run bookkeeping threaded through the slots.
-struct SlotCtx {
-    attacker: ProcessId,
-    victim: ProcessId,
-    attacker_core: NodeId,
-    victim_core: NodeId,
-    /// Secure-cluster cores between slots (and the shape grown back to).
-    wide: usize,
-    /// Secure-cluster cores during the measured window.
-    narrow: usize,
-    /// Pages of one attacker evict-and-sweep.
-    sweep_pages: u64,
-    page_bytes: u64,
-    line_bytes: u64,
-    /// Sweeps issued so far — each slot sweeps fresh pages so every access
-    /// misses and must evict whatever the moved slices still hold.
-    sweeps: u64,
-    /// Secret bursts issued so far — each burst dirties fresh pages so the
-    /// round-robin allocator homes them across the *current* secure slices,
-    /// including the ones the next shrink moves.
-    bursts: u64,
-    /// Dropped scrub packets the audit detected across all slots.
-    dropped_detected: u64,
-    /// Dropped scrub packets replayed across all slots.
-    dropped_recovered: u64,
 }
 
 impl WindowAttack {
     /// Creates the attack for machines built from `config` under the given
-    /// purge ordering, with the smoke-scale payload (32 bits) and eight
-    /// warm-up slots.
+    /// purge ordering, with the smoke-scale payload (32 bits).
     pub fn new(config: MachineConfig, order: PurgeOrder) -> Self {
         WindowAttack {
             config,
-            params: ArchParams::default(),
             order,
             fault: FaultMode::None,
             drop_rate_per_mille: 0,
             payload_bits: 32,
-            warmup_slots: 8,
         }
     }
 
@@ -166,17 +140,7 @@ impl WindowAttack {
     /// Panics if `bits` is zero or odd — the payload must be balanceable so
     /// a signal-free channel decodes at exactly 50% BER.
     pub fn with_payload_bits(mut self, bits: usize) -> Self {
-        assert!(
-            bits > 0 && bits.is_multiple_of(2),
-            "payload must be a non-zero even number of bits"
-        );
-        self.payload_bits = bits;
-        self
-    }
-
-    /// Overrides the number of unmeasured warm-up slots.
-    pub fn with_warmup(mut self, slots: usize) -> Self {
-        self.warmup_slots = slots;
+        self.payload_bits = checked_payload(bits);
         self
     }
 
@@ -235,207 +199,176 @@ impl WindowAttack {
         slot: &mut Option<Machine>,
     ) -> Result<(AttackOutcome, FaultAudit), RunError> {
         let bits = balanced_bits(seed, self.payload_bits);
-        let mut machine = match slot.take() {
-            Some(mut m) => {
-                m.reset_pristine();
-                m
-            }
-            None => Machine::new(self.config.clone()),
-        };
-        let attacker = machine.create_process("attacker", SecurityClass::Insecure);
-        let victim = machine.create_process("victim", SecurityClass::Secure);
+        let mut window = WindowSlot::new(self, seed);
+        let trace = AttackRunner::new(self.config.clone()).run(arch, &mut window, &bits, slot)?;
+        Ok((judge(self.name(), arch, &bits, trace), window.audit))
+    }
+}
 
-        let image = format!("victim:{}", self.name());
-        SecureKernel::new().attest(victim, image.as_bytes(), AppDomain(1))?;
+/// One window assessment as the [`AttackRunner`] drives it, with the
+/// bookkeeping threaded through its slots.
+struct WindowSlot<'a> {
+    attack: &'a WindowAttack,
+    seed: u64,
+    cores: usize,
+    /// Secure-cluster cores between slots: the shape the runner places the
+    /// victim at, and the shape each slot grows back to.
+    wide: usize,
+    /// Secure-cluster cores during the measured window.
+    narrow: usize,
+    page_bytes: u64,
+    line_bytes: u64,
+    /// Sweeps issued so far — each slot sweeps fresh pages so every access
+    /// misses and must evict whatever the moved slices still hold.
+    sweeps: u64,
+    /// Secret bursts issued so far — each burst dirties fresh pages so the
+    /// round-robin allocator homes them across the *current* secure slices,
+    /// including the ones the next shrink moves.
+    bursts: u64,
+    /// What the scrub audit saw across all slots.
+    audit: FaultAudit,
+}
 
-        let total = self.config.cores();
-        let wide = (total / 2).max(1);
-        let narrow = (wide / 2).max(1);
-        let mut manager = place(&mut machine, arch, victim, attacker, wide)?;
-        let (attacker_core, victim_core, sweep_pages, secure_cores) = match &manager {
-            Some(m) => {
-                let vic = m.cores_iter(ClusterId::Secure).next().expect("non-empty cluster");
-                // The last core stays insecure at both the wide and the
-                // narrow shape, so the attacker never has to migrate.
-                let att = m.cores_iter(ClusterId::Insecure).last().expect("non-empty cluster");
-                // The sweep covers every slice the insecure cluster owns at
-                // the narrow shape.
-                (att, vic, (total - narrow) as u64, wide)
-            }
-            // Shared cores: the sweep must cover every slice the victim's
-            // buffers can home on.
-            None => (NodeId(0), NodeId(total - 1), total as u64, total),
-        };
-
-        // The fault arms only after formation: drops model packets lost
-        // during live reconfigurations, not during machine bring-up. The
-        // drop predicate is pure in (seed, page), so the faulted page set is
-        // replayable regardless of scrub batching.
-        if self.fault != FaultMode::None {
-            machine.set_scrub_drop_fault(seed ^ 0xFA17_5EED, self.drop_rate_per_mille);
-        }
-
-        let mut ctx = SlotCtx {
-            attacker,
-            victim,
-            attacker_core,
-            victim_core,
+impl<'a> WindowSlot<'a> {
+    fn new(attack: &'a WindowAttack, seed: u64) -> Self {
+        let cores = attack.config.cores();
+        let wide = (cores / 2).max(1);
+        WindowSlot {
+            attack,
+            seed,
+            cores,
             wide,
-            narrow,
-            sweep_pages,
-            page_bytes: machine.page_bytes(),
-            line_bytes: self.config.l2_slice.line_bytes as u64,
+            narrow: (wide / 2).max(1),
+            page_bytes: attack.config.tlb.page_bytes as u64,
+            line_bytes: attack.config.l2_slice.line_bytes as u64,
             sweeps: 0,
             bursts: 0,
-            dropped_detected: 0,
-            dropped_recovered: 0,
-        };
-
-        // Warm up with alternating symbols so allocators, caches and the
-        // congestion estimators settle into the steady state for both.
-        for i in 0..self.warmup_slots {
-            self.slot(&mut machine, &mut manager, arch, &mut ctx, i % 2 == 0)?;
+            audit: FaultAudit::default(),
         }
+    }
+}
 
-        let mut probe_cycles = Vec::with_capacity(bits.len());
-        let mut payload_cycles = 0u64;
-        for &bit in &bits {
-            let (probe, slot_total) = self.slot(&mut machine, &mut manager, arch, &mut ctx, bit)?;
-            probe_cycles.push(probe);
-            payload_cycles += slot_total;
-        }
-
-        // Wrap up the fault: a final audit pass (the grow after the last
-        // measured window can still drop packets), then lift the fault so
-        // the machine goes back into the pool clean.
-        let mut audit = FaultAudit::default();
-        if self.fault != FaultMode::None {
-            if self.fault == FaultMode::DroppedPurgeAudited {
-                let detected =
-                    (machine.dropped_scrub_log().len() + machine.dropped_purge_log().len()) as u64;
-                if detected > 0 {
-                    ctx.dropped_detected += detected;
-                    ctx.dropped_recovered += machine.recover_dropped_scrubs();
-                }
-            }
-            audit = FaultAudit {
-                dropped_detected: ctx.dropped_detected,
-                dropped_recovered: ctx.dropped_recovered,
-                dropped_unrecovered: machine.clear_scrub_drop_fault() as u64,
-            };
-        }
-
-        let isolation =
-            IsolationAuditor::new().audit(&machine, arch, &SpeculativeAccessCheck::new());
-        *slot = Some(machine);
-
-        let trace = AttackTrace {
-            probe_cycles,
-            payload_cycles,
-            clock_ghz: self.config.clock_ghz,
-            attacker_core,
-            victim_core,
-            secure_cores,
-            isolation,
-        };
-        Ok((judge(self.name(), arch, &bits, trace), audit))
+impl Transmission for WindowSlot<'_> {
+    fn name(&self) -> &str {
+        self.attack.name()
     }
 
-    /// One transmission slot. Returns `(probe_cycles, slot_cycles)` where
-    /// the probe is the attacker's timed sweep of the moved (or, under the
-    /// temporal architectures, shared) slices.
-    fn slot(
-        &self,
-        machine: &mut Machine,
-        manager: &mut Option<ClusterManager>,
-        arch: Architecture,
-        ctx: &mut SlotCtx,
-        bit: bool,
-    ) -> Result<(u64, u64), RunError> {
+    fn cores(&self, clusters: Option<&ClusterManager>, cores: usize) -> (NodeId, NodeId) {
+        match clusters {
+            // The last core stays insecure at both the wide and the narrow
+            // shape, so the attacker never has to migrate.
+            Some(m) => (
+                m.cores_iter(ClusterId::Insecure).last().expect("non-empty cluster"),
+                m.cores_iter(ClusterId::Secure).next().expect("non-empty cluster"),
+            ),
+            None => (NodeId(0), NodeId(cores - 1)),
+        }
+    }
+
+    /// The fault arms only after formation: drops model packets lost during
+    /// live reconfigurations, not during machine bring-up. The drop
+    /// predicate is pure in (seed, page), so the faulted page set is
+    /// replayable regardless of scrub batching.
+    fn begin(&mut self, machine: &mut Machine) {
+        if self.attack.fault != FaultMode::None {
+            machine.set_scrub_drop_fault(self.seed ^ 0xFA17_5EED, self.attack.drop_rate_per_mille);
+        }
+    }
+
+    /// One transmission slot. The probe is the attacker's timed sweep of the
+    /// moved (or, under the temporal architectures, shared) slices.
+    fn slot(&mut self, run: &mut AttackRun<'_>, bit: bool) -> Result<(u64, u64), RunError> {
+        let (page_bytes, line_bytes) = (self.page_bytes, self.line_bytes);
         let mut total = 0u64;
 
         // The secret-dependent burst: dirty-write a fresh buffer spread over
         // the victim's current slices, one page per wide secure slice. A 0
         // transmits by staying idle.
         if bit {
-            let pages = ctx.wide as u64;
-            let base = VICTIM_BASE + ctx.bursts * pages * ctx.page_bytes;
-            ctx.bursts += 1;
+            let pages = self.wide as u64;
+            let base = VICTIM_BASE + self.bursts * pages * page_bytes;
+            self.bursts += 1;
             total += touch_pages(
-                machine,
-                ctx.victim_core,
-                ctx.victim,
+                run.machine,
+                run.victim_core,
+                run.victim,
                 base,
                 pages,
-                ctx.page_bytes,
-                ctx.line_bytes,
+                page_bytes,
+                line_bytes,
                 true,
             );
         }
 
-        let sweep_base = SWEEP_BASE + ctx.sweeps * ctx.sweep_pages * ctx.page_bytes;
-        ctx.sweeps += 1;
+        // The sweep covers every slice the insecure cluster owns at the
+        // narrow shape, or, on shared cores, every slice the victim's
+        // buffers can home on.
+        let sweep_pages =
+            if run.clusters.is_some() { self.cores - self.narrow } else { self.cores } as u64;
+        let sweep_base = SWEEP_BASE + self.sweeps * sweep_pages * page_bytes;
+        self.sweeps += 1;
+        let (attacker, attacker_core) = (run.attacker, run.attacker_core);
+        let sweep = |machine: &mut Machine| {
+            touch_pages(
+                machine,
+                attacker_core,
+                attacker,
+                sweep_base,
+                sweep_pages,
+                page_bytes,
+                line_bytes,
+                false,
+            )
+        };
 
-        if let Some(m) = manager.as_mut() {
+        let probe = if let Some(clusters) = run.clusters.as_mut() {
             // IRONHIDE: shrink the secure cluster under the configured purge
             // ordering. The window callback is the first point insecure
             // traffic can flow; the attacker's timed sweep runs there,
             // evicting whatever the moved slices still hold.
-            let audited = self.fault == FaultMode::DroppedPurgeAudited;
+            let audited = self.attack.fault == FaultMode::DroppedPurgeAudited;
+            let audit = &mut self.audit;
             let mut probe = 0u64;
-            let mut detected = 0u64;
-            let mut recovered = 0u64;
-            total += m.reconfigure_windowed(
-                machine,
-                ctx.victim,
-                ctx.attacker,
-                ctx.narrow,
-                self.order,
-                |mach| {
+            total += clusters.reconfigure_windowed(
+                run.machine,
+                run.victim,
+                attacker,
+                self.narrow,
+                self.attack.order,
+                |machine| {
                     // The audited discipline runs the scrub audit at the top
                     // of every window — dropped purge packets are detected
                     // and replayed *before* any insecure access can time the
                     // residue they left behind.
                     if audited {
-                        detected = (mach.dropped_scrub_log().len() + mach.dropped_purge_log().len())
-                            as u64;
-                        recovered = mach.recover_dropped_scrubs();
+                        audit.recover(machine);
                     }
-                    probe = touch_pages(
-                        mach,
-                        ctx.attacker_core,
-                        ctx.attacker,
-                        sweep_base,
-                        ctx.sweep_pages,
-                        ctx.page_bytes,
-                        ctx.line_bytes,
-                        false,
-                    );
+                    probe = sweep(machine);
                 },
             )?;
-            ctx.dropped_detected += detected;
-            ctx.dropped_recovered += recovered;
-            total += probe;
             // Grow back for the next slot — always under the shipped order;
             // only the measured shrink carries the injected fault.
-            total += m.reconfigure(machine, ctx.victim, ctx.attacker, ctx.wide)?;
-            Ok((probe, total))
+            total += clusters.reconfigure(run.machine, run.victim, attacker, self.wide)?;
+            probe
         } else {
             // Temporally shared architectures: no reconfiguration exists, so
             // the sweep simply runs after the victim's secure phase ends.
-            total += boundary_cost(machine, arch, &self.config, &self.params);
-            let probe = touch_pages(
-                machine,
-                ctx.attacker_core,
-                ctx.attacker,
-                sweep_base,
-                ctx.sweep_pages,
-                ctx.page_bytes,
-                ctx.line_bytes,
-                false,
-            );
-            total += probe;
-            Ok((probe, total))
+            total += run.cross_boundary();
+            sweep(run.machine)
+        };
+        total += probe;
+        Ok((probe, total))
+    }
+
+    /// Wraps up the fault: a final audit pass (the grow after the last
+    /// measured window can still drop packets), then lifts the fault so the
+    /// machine goes back into the pool clean.
+    fn end(&mut self, machine: &mut Machine) {
+        if self.attack.fault == FaultMode::DroppedPurgeAudited {
+            self.audit.recover(machine);
+        }
+        if self.attack.fault != FaultMode::None {
+            self.audit.dropped_unrecovered = machine.clear_scrub_drop_fault() as u64;
         }
     }
 }

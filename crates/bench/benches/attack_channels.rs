@@ -11,6 +11,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use ironhide_attacks::{ChannelKind, LeakageOracle};
 use ironhide_core::arch::Architecture;
+use ironhide_core::attack::{AttackRunner, StreamSlot};
 use ironhide_sim::config::MachineConfig;
 
 fn bench_assessments(c: &mut Criterion) {
@@ -32,10 +33,14 @@ fn bench_single_run(c: &mut Criterion) {
     // transmission cost from decoding cost if the two ever drift.
     let config = MachineConfig::attack_testbench();
     c.bench_function("attack_run_l2_occupancy_ironhide", |b| {
-        let runner = ironhide_core::attack::AttackRunner::new(config.clone());
+        let runner = AttackRunner::new(config.clone());
         let channel = ChannelKind::L2SliceOccupancy.build(&config, 1);
         let bits: Vec<bool> = (0..32).map(|i| i % 2 == 0).collect();
-        b.iter(|| runner.run(Architecture::Ironhide, &channel, &bits).expect("run completes"))
+        b.iter(|| {
+            runner
+                .run(Architecture::Ironhide, &mut StreamSlot(&channel), &bits, &mut None)
+                .expect("run completes")
+        })
     });
 }
 

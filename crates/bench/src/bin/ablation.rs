@@ -27,7 +27,7 @@
 //! lower switch cost than SIMF.
 
 use ironhide_bench::experiments::ablation;
-use ironhide_bench::{identical_across_threads, THREAD_COUNTS};
+use ironhide_bench::{identical_across_threads, BenchCli, THREAD_COUNTS};
 use ironhide_core::sweep::AblationMatrix;
 use ironhide_sim::config::MachineConfig;
 use ironhide_sim::fence::TemporalFenceConfig;
@@ -39,27 +39,8 @@ const NONE_LABEL: &str = "none";
 const SIMF_LABEL: &str = "simf";
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path = String::from("BENCH_10.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                out_path = args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: ablation [--smoke] [--out <path>]");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let label = if smoke { "smoke" } else { "full" };
+    let cli = BenchCli::parse("ablation", "BENCH_10.json");
+    let (smoke, label) = (cli.smoke, cli.label());
 
     // Byte-identity gate: every thread count must serialise the exact same
     // matrix.
@@ -85,12 +66,7 @@ fn main() {
     }
 
     let report = render_report(&matrix, &matrix_json, label, wall);
-    std::fs::write(&out_path, &report).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("ablation: wrote {out_path}");
-    println!("{report}");
+    cli.publish(&report);
 }
 
 /// Renders the measurement as deterministic-layout JSON (only

@@ -53,7 +53,7 @@
 
 use ironhide_bench::experiments::{baseline, simulated_cycles_total};
 use ironhide_bench::{
-    available_parallelism, identical_across_threads, peak_rss_bytes, THREAD_COUNTS,
+    available_parallelism, identical_across_threads, peak_rss_bytes, BenchCli, THREAD_COUNTS,
 };
 use ironhide_core::sweep::SweepMatrix;
 
@@ -61,27 +61,8 @@ use ironhide_core::sweep::SweepMatrix;
 const RATE_FLOOR: u64 = 400_000;
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path = String::from("BENCH_6.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                out_path = args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: baseline [--smoke] [--out <path>]");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let label = if smoke { "smoke" } else { "full" };
+    let cli = BenchCli::parse("baseline", "BENCH_6.json");
+    let (smoke, label) = (cli.smoke, cli.label());
     let runs = identical_across_threads(&THREAD_COUNTS, |threads| {
         eprintln!("baseline: running {label} grid at {threads} thread(s)...");
         baseline(smoke, threads)
@@ -111,13 +92,7 @@ fn main() {
     }
 
     let report = render_report(&runs.matrix, label, accesses, measured, &runs.walls);
-    std::fs::write(&out_path, &report).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("baseline: wrote {out_path}");
-    // A human-readable one-liner for logs; the JSON is the durable record.
-    println!("{report}");
+    cli.publish(&report);
 }
 
 /// `count` per wall-clock second, rounded.

@@ -34,7 +34,7 @@
 use ironhide_bench::experiments::{
     baseline, simulated_cycles_total, StormParams, StormResult, STORM_SEED,
 };
-use ironhide_bench::{available_parallelism, peak_rss_bytes};
+use ironhide_bench::{available_parallelism, peak_rss_bytes, BenchCli};
 
 /// The batched pass's `reconfigs_per_sec` floor, chosen with generous slack
 /// for host noise: it only catches a catastrophic reconfiguration-path
@@ -42,27 +42,8 @@ use ironhide_bench::{available_parallelism, peak_rss_bytes};
 const RATE_FLOOR: u64 = 1_000;
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path = String::from("BENCH_7.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                out_path = args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: churn [--smoke] [--out <path>]");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let label = if smoke { "smoke" } else { "full" };
+    let cli = BenchCli::parse("churn", "BENCH_7.json");
+    let (smoke, label) = (cli.smoke, cli.label());
     let params = StormParams::new(smoke);
 
     eprintln!("churn: running {label} storm ({} reconfigs, reference pass)...", params.reconfigs);
@@ -117,12 +98,7 @@ fn main() {
     let speedup =
         if reference.rate > 0 { batched.rate as f64 / reference.rate as f64 } else { 0.0 };
     let report = render_report(label, &params, &reference, &batched, speedup, &baseline_checksums);
-    std::fs::write(&out_path, &report).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("churn: wrote {out_path}");
-    println!("{report}");
+    cli.publish(&report);
 }
 
 /// Renders the measurement as deterministic-layout JSON (timing fields vary

@@ -39,7 +39,7 @@
 use ironhide_attacks::window::{FaultMode, WindowAttack};
 use ironhide_bench::experiments::faults;
 use ironhide_bench::{
-    available_parallelism, identical_across_threads, peak_rss_bytes, THREAD_COUNTS,
+    available_parallelism, identical_across_threads, peak_rss_bytes, BenchCli, THREAD_COUNTS,
 };
 use ironhide_core::arch::Architecture;
 use ironhide_core::attack::ChannelVerdict;
@@ -60,27 +60,8 @@ const WINDOW_DROP_RATE: u32 = 800;
 const SLO_DEGRADATION_FACTOR: u64 = 10;
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path = String::from("BENCH_9.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                out_path = args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: faults [--smoke] [--out <path>]");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let label = if smoke { "smoke" } else { "full" };
+    let cli = BenchCli::parse("faults", "BENCH_9.json");
+    let (smoke, label) = (cli.smoke, cli.label());
 
     // Gate 1: the matrix must serialise byte-identically at every thread
     // count. The single-threaded pass is the canonical one reported.
@@ -153,12 +134,7 @@ fn main() {
     }
 
     let report = render_report(label, &matrix, &channel_rows, &sweep_walls);
-    std::fs::write(&out_path, &report).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("faults: wrote {out_path}");
-    println!("{report}");
+    cli.publish(&report);
 }
 
 /// One fault-channel verdict row: the expected verdict, the measured attack

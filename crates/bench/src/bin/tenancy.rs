@@ -34,7 +34,7 @@
 use ironhide_attacks::window::WindowAttack;
 use ironhide_bench::experiments::tenancy;
 use ironhide_bench::{
-    available_parallelism, identical_across_threads, peak_rss_bytes, THREAD_COUNTS,
+    available_parallelism, identical_across_threads, peak_rss_bytes, BenchCli, THREAD_COUNTS,
 };
 use ironhide_core::arch::Architecture;
 use ironhide_core::attack::{AttackOutcome, ChannelVerdict};
@@ -46,27 +46,8 @@ use ironhide_sim::config::MachineConfig;
 const WINDOW_SEED: u64 = 7;
 
 fn main() {
-    let mut smoke = false;
-    let mut out_path = String::from("BENCH_8.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                out_path = args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: tenancy [--smoke] [--out <path>]");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let label = if smoke { "smoke" } else { "full" };
+    let cli = BenchCli::parse("tenancy", "BENCH_8.json");
+    let (smoke, label) = (cli.smoke, cli.label());
 
     // Gate 1: the matrix must serialise byte-identically at every thread
     // count. The single-threaded pass is the canonical one reported.
@@ -112,12 +93,7 @@ fn main() {
     }
 
     let report = render_report(label, &matrix, &sweep_walls, &verdicts);
-    std::fs::write(&out_path, &report).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("tenancy: wrote {out_path}");
-    println!("{report}");
+    cli.publish(&report);
 }
 
 /// The golden verdict rows: expected verdict paired with the measured

@@ -13,8 +13,8 @@
 //!
 //! This library crate holds the table printers, the [`experiments`] the
 //! `paper_figures` bench and the `BENCH_*.json` binaries run, and the
-//! harness pieces those binaries share: the N-thread byte-identity gate,
-//! peak RSS and the host's core count.
+//! harness pieces those binaries share: the command line ([`BenchCli`]),
+//! the N-thread byte-identity gate, peak RSS and the host's core count.
 
 use std::fmt::Display;
 use std::time::Instant;
@@ -32,6 +32,68 @@ pub fn print_row(cells: &[String]) {
 pub fn print_header(cells: &[&str]) {
     print_row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
     println!("|{}|", cells.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
+}
+
+/// The command line every `BENCH_*.json` binary takes:
+/// `[--smoke] [--out <path>]`.
+#[derive(Debug)]
+pub struct BenchCli {
+    name: &'static str,
+    /// Run the CI smoke grid instead of the full one.
+    pub smoke: bool,
+    out: String,
+}
+
+impl BenchCli {
+    /// Parses this process's arguments for the binary `name`, whose report
+    /// goes to `default_out` unless `--out` names another path. A bad
+    /// argument prints the usage and exits with status 2.
+    pub fn parse(name: &'static str, default_out: &str) -> Self {
+        Self::from_args(name, default_out, std::env::args().skip(1)).unwrap_or_else(|error| {
+            eprintln!("{error}");
+            std::process::exit(2);
+        })
+    }
+
+    fn from_args(
+        name: &'static str,
+        default_out: &str,
+        mut args: impl Iterator<Item = String>,
+    ) -> Result<Self, String> {
+        let mut cli = BenchCli { name, smoke: false, out: default_out.to_string() };
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--smoke" => cli.smoke = true,
+                "--out" => cli.out = args.next().ok_or("--out requires a path")?,
+                other => {
+                    return Err(format!(
+                        "unknown argument: {other}\nusage: {name} [--smoke] [--out <path>]"
+                    ))
+                }
+            }
+        }
+        Ok(cli)
+    }
+
+    /// The grid label a report carries: `"smoke"` or `"full"`.
+    pub fn label(&self) -> &'static str {
+        if self.smoke {
+            "smoke"
+        } else {
+            "full"
+        }
+    }
+
+    /// Writes `report` to the output path, then prints it for the logs (the
+    /// file is the durable record). Exits with status 1 if the write fails.
+    pub fn publish(&self, report: &str) {
+        std::fs::write(&self.out, report).unwrap_or_else(|e| {
+            eprintln!("cannot write {}: {e}", self.out);
+            std::process::exit(1);
+        });
+        eprintln!("{}: wrote {}", self.name, self.out);
+        println!("{report}");
+    }
 }
 
 /// The worker counts every binary's byte-identity gate runs its sweep at.
@@ -112,6 +174,26 @@ mod tests {
         fn write_json(&self, out: &mut String) {
             out.push_str(&self.0.to_string());
         }
+    }
+
+    fn cli(args: &[&str]) -> Result<BenchCli, String> {
+        BenchCli::from_args("bench", "BENCH.json", args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn cli_reads_smoke_and_out_and_rejects_anything_else() {
+        let default = cli(&[]).unwrap();
+        assert_eq!(
+            (default.smoke, default.out.as_str(), default.label()),
+            (false, "BENCH.json", "full")
+        );
+        let set = cli(&["--out", "x.json", "--smoke"]).unwrap();
+        assert_eq!((set.smoke, set.out.as_str(), set.label()), (true, "x.json", "smoke"));
+        assert_eq!(cli(&["--out"]).unwrap_err(), "--out requires a path");
+        assert_eq!(
+            cli(&["--fast"]).unwrap_err(),
+            "unknown argument: --fast\nusage: bench [--smoke] [--out <path>]"
+        );
     }
 
     #[test]

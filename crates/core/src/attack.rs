@@ -9,12 +9,16 @@
 //! cache footprint — and the attacker (an ordinary insecure process) decodes
 //! the bits from the latencies of its own probe accesses.
 //!
-//! [`AttackRunner`] co-schedules such a pair on one simulated machine under
-//! any of the execution architectures, reusing the exact machinery the
-//! performance experiments use: the [`SecureKernel`] attests the victim
-//! before it may run, and [`crate::boundary`] places the pair (distrusting
-//! clusters under IRONHIDE) and prices every boundary crossing (MI6 purges
-//! private state, controller queues and the network). Probe latencies are
+//! [`AttackRunner`] is the one covert-channel driver. It co-schedules such a
+//! pair on one simulated machine under any of the execution architectures,
+//! reusing the exact machinery the performance experiments use: the
+//! [`SecureKernel`] attests the victim before it may run, and
+//! [`crate::boundary`] places the pair (distrusting clusters under IRONHIDE)
+//! and prices every boundary crossing (MI6 purges private state, controller
+//! queues and the network). A channel supplies only its per-slot
+//! [`Transmission`] and the cores its pair issues from: the stream channels
+//! through [`StreamSlot`], the reconfiguration-window attack in the
+//! `ironhide-attacks` crate through its own slot. Stream probe latencies are
 //! observed through the machine's
 //! [`LatencyTrace`](ironhide_sim::trace::LatencyTrace) hook — the attacker
 //! sees nothing a real attacker could not time.
@@ -33,6 +37,7 @@ use ironhide_sim::process::{ProcessId, SecurityClass};
 use crate::app::RefStream;
 use crate::arch::{ArchParams, Architecture};
 use crate::boundary::{boundary_cost, place};
+use crate::cluster::ClusterManager;
 use crate::isolation::{IsolationAuditor, IsolationSummary};
 use crate::kernel::{AppDomain, SecureKernel};
 use crate::runner::{issue_run, RunError};
@@ -203,82 +208,133 @@ impl AttackOutcome {
     }
 }
 
-/// Co-schedules a covert-channel pair on one machine under one architecture.
+/// One covert channel as [`AttackRunner`] drives it: the cores its attacker
+/// and victim issue from, and what one transmission slot does. The stream
+/// channels' six-step slot is one implementation ([`StreamSlot`]); the
+/// attacks crate's reconfiguration-window attack is the other.
+pub trait Transmission {
+    /// The channel's display name; the victim attests under it.
+    fn name(&self) -> &str;
+
+    /// The cores the attacker and the victim issue from, in that order, on a
+    /// machine of `cores` cores. `clusters` is IRONHIDE's cluster manager;
+    /// the temporally shared architectures have none.
+    fn cores(&self, clusters: Option<&ClusterManager>, cores: usize) -> (NodeId, NodeId);
+
+    /// Prepares the machine once the pair is placed, before the first
+    /// warm-up slot.
+    fn begin(&mut self, _machine: &mut Machine) {}
+
+    /// Transmits `bit` in one slot and returns `(probe_cycles,
+    /// slot_cycles)`: what the attacker timed, and everything the slot cost.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`RunError`] if the slot cannot run (a failed
+    /// reconfiguration).
+    fn slot(&mut self, run: &mut AttackRun<'_>, bit: bool) -> Result<(u64, u64), RunError>;
+
+    /// Settles the machine after the last payload slot, before the isolation
+    /// audit.
+    fn end(&mut self, _machine: &mut Machine) {}
+}
+
+/// One attack run as its slots see it: the machine, the placed pair and the
+/// cores each side issues from.
+#[derive(Debug)]
+pub struct AttackRun<'a> {
+    /// The attacked machine.
+    pub machine: &'a mut Machine,
+    /// IRONHIDE's cluster manager (`None` under the temporally shared
+    /// architectures).
+    pub clusters: Option<ClusterManager>,
+    /// The architecture under attack.
+    pub arch: Architecture,
+    /// The insecure attacker process.
+    pub attacker: ProcessId,
+    /// The attested secure victim process.
+    pub victim: ProcessId,
+    /// Core the attacker issues from.
+    pub attacker_core: NodeId,
+    /// Core the victim issues from.
+    pub victim_core: NodeId,
+    config: &'a MachineConfig,
+    spec: SpeculativeAccessCheck,
+}
+
+impl AttackRun<'_> {
+    /// One secure/insecure boundary crossing under the run's architecture,
+    /// priced by [`boundary_cost`] from the runner's configuration (never
+    /// the recycled machine's stored copy).
+    pub fn cross_boundary(&mut self) -> u64 {
+        boundary_cost(self.machine, self.arch, self.config, &ArchParams::default())
+    }
+
+    /// Issues one reference stream on `core` against `pid`'s address space
+    /// through the batched access engine, screening insecure-issued
+    /// references through the speculative-access check when the architecture
+    /// mandates it (the same shared [`issue_run`] the performance runner
+    /// uses).
+    fn issue(&mut self, pid: ProcessId, core: NodeId, refs: &RefStream, insecure: bool) -> u64 {
+        let screened = self.arch.speculative_check() && insecure;
+        let mut cycles = 0;
+        for r in refs.runs() {
+            cycles += issue_run(self.machine, &mut self.spec, pid, core, *r, screened);
+        }
+        cycles
+    }
+}
+
+/// The one covert-channel driver: co-schedules a channel's attacker and
+/// victim on one machine under one architecture.
 #[derive(Debug, Clone)]
 pub struct AttackRunner {
     config: MachineConfig,
-    params: ArchParams,
-    warmup_slots: usize,
 }
 
 impl AttackRunner {
-    /// Creates a runner attacking machines built from `config`, with four
-    /// warm-up slots (alternating both symbols) before measurement starts.
+    /// Unmeasured warm-up slots, alternating both symbols, before the
+    /// payload: the analytical congestion estimators converge geometrically
+    /// and need a few slots of each.
+    pub const WARMUP_SLOTS: usize = 8;
+
+    /// Creates a runner attacking machines built from `config`.
     pub fn new(config: MachineConfig) -> Self {
-        AttackRunner { config, params: ArchParams::default(), warmup_slots: 4 }
-    }
-
-    /// Overrides the architecture parameters (SGX boundary cost).
-    pub fn with_params(mut self, params: ArchParams) -> Self {
-        self.params = params;
-        self
-    }
-
-    /// Overrides the number of unmeasured warm-up slots.
-    pub fn with_warmup(mut self, slots: usize) -> Self {
-        self.warmup_slots = slots;
-        self
-    }
-
-    /// The machine configuration attacked by each run.
-    pub fn machine_config(&self) -> &MachineConfig {
-        &self.config
+        AttackRunner { config }
     }
 
     /// Transmits `bits` through `channel` under `arch` and returns the
     /// attacker's observations.
     ///
+    /// The run uses the machine in `slot`, the cell's pooled machine as
+    /// `SweepRunner` hands it out: a recycled machine is reset with
+    /// [`Machine::reset_pristine`], an empty slot gets a fresh one, and the
+    /// machine stays in the slot for the next run. Results are
+    /// byte-identical either way: the reset also clears every home slice's
+    /// coherence directory, so no sharer or owner metadata from the previous
+    /// cell's victim survives into the next attack (covered by
+    /// `recycled_machine_attack_is_byte_identical` below).
+    ///
+    /// The run creates the attacker and the victim, attests the victim,
+    /// places the pair through [`place`] (IRONHIDE gives the victim half the
+    /// machine), runs [`AttackRunner::WARMUP_SLOTS`] slots, transmits the
+    /// payload and audits isolation.
+    ///
     /// # Errors
     ///
-    /// Returns a [`RunError`] if cluster formation fails or the victim cannot
-    /// be attested.
+    /// Returns a [`RunError`] if the victim cannot be attested, cluster
+    /// formation fails or a slot fails.
     pub fn run(
         &self,
         arch: Architecture,
-        channel: &dyn CovertChannel,
+        channel: &mut dyn Transmission,
         bits: &[bool],
+        slot: &mut Option<Machine>,
     ) -> Result<AttackTrace, RunError> {
-        self.run_recycled(arch, channel, bits, None).map(|(trace, _)| trace)
-    }
-
-    /// Like [`AttackRunner::run`], but recycles `machine` (from a prior run
-    /// on the **same configuration**) instead of allocating a fresh one, and
-    /// hands the run's machine back for the next caller — the same
-    /// cell-pool recycling the performance sweep uses. Results are
-    /// byte-identical to a fresh-machine run: [`Machine::reset_pristine`]
-    /// also resets every home slice's coherence directory, so no sharer /
-    /// owner metadata from the previous cell's victim survives into the
-    /// next attack (covered by `recycled_machine_attack_is_byte_identical`
-    /// below).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RunError`] if cluster formation fails or the victim
-    /// cannot be attested (the recycled machine is lost in that case).
-    pub fn run_recycled(
-        &self,
-        arch: Architecture,
-        channel: &dyn CovertChannel,
-        bits: &[bool],
-        recycled: Option<Machine>,
-    ) -> Result<(AttackTrace, Machine), RunError> {
-        let mut machine = match recycled {
-            Some(mut m) => {
-                m.reset_pristine();
-                m
-            }
-            None => Machine::new(self.config.clone()),
-        };
+        if let Some(machine) = slot.as_mut() {
+            machine.reset_pristine();
+        }
+        let machine = slot.get_or_insert_with(|| Machine::new(self.config.clone()));
         let attacker = machine.create_process("attacker", SecurityClass::Insecure);
         let victim = machine.create_process("victim", SecurityClass::Secure);
 
@@ -288,135 +344,118 @@ impl AttackRunner {
         let image = format!("victim:{}", channel.name());
         SecureKernel::new().attest(victim, image.as_bytes(), AppDomain(1))?;
 
-        // Under IRONHIDE each side issues from the first core of its own
-        // cluster; otherwise they time-share the machine as the channel
-        // prefers.
         let total = self.config.cores();
         let half = (total / 2).max(1);
-        let (attacker_core, victim_core, secure_cores) =
-            match place(&mut machine, arch, victim, attacker, half)? {
-                Some(manager) => {
-                    let first = |cluster| manager.cores_iter(cluster).next().expect("non-empty");
-                    (first(ClusterId::Insecure), first(ClusterId::Secure), half)
-                }
-                None => match channel.placement() {
-                    ChannelPlacement::SharedCore => (NodeId(0), NodeId(0), total),
-                    ChannelPlacement::DistinctCores => (NodeId(0), NodeId(total - 1), total),
-                },
-            };
-
-        machine.enable_latency_trace(channel.probe().len().max(1));
-        let mut spec = SpeculativeAccessCheck::new();
-        let mut state = SlotState { machine, spec: &mut spec, attacker, victim };
+        let clusters = place(machine, arch, victim, attacker, half)?;
+        let secure_cores = if clusters.is_some() { half } else { total };
+        let (attacker_core, victim_core) = channel.cores(clusters.as_ref(), total);
+        channel.begin(machine);
+        let mut run = AttackRun {
+            machine,
+            clusters,
+            arch,
+            attacker,
+            victim,
+            attacker_core,
+            victim_core,
+            config: &self.config,
+            spec: SpeculativeAccessCheck::new(),
+        };
 
         // Warm up with alternating symbols so caches, TLBs and the NoC's
         // congestion estimators settle into the steady state for both.
-        for i in 0..self.warmup_slots {
-            self.slot(&mut state, arch, channel, attacker_core, victim_core, i % 2 == 0);
+        for i in 0..Self::WARMUP_SLOTS {
+            channel.slot(&mut run, i % 2 == 0)?;
         }
 
         let mut probe_cycles = Vec::with_capacity(bits.len());
         let mut payload_cycles = 0u64;
         for &bit in bits {
-            let (probe, slot_total) =
-                self.slot(&mut state, arch, channel, attacker_core, victim_core, bit);
+            let (probe, slot_cycles) = channel.slot(&mut run, bit)?;
             probe_cycles.push(probe);
-            payload_cycles += slot_total;
+            payload_cycles += slot_cycles;
         }
 
-        let isolation = IsolationAuditor::new().audit(&state.machine, arch, state.spec);
-        Ok((
-            AttackTrace {
-                probe_cycles,
-                payload_cycles,
-                clock_ghz: self.config.clock_ghz,
-                attacker_core,
-                victim_core,
-                secure_cores,
-                isolation,
-            },
-            state.machine,
-        ))
+        channel.end(run.machine);
+        let isolation = IsolationAuditor::new().audit(run.machine, arch, &run.spec);
+        Ok(AttackTrace {
+            probe_cycles,
+            payload_cycles,
+            clock_ghz: self.config.clock_ghz,
+            attacker_core,
+            victim_core,
+            secure_cores,
+            isolation,
+        })
+    }
+}
+
+/// A stream [`CovertChannel`] as a [`Transmission`]: its six-step slot.
+#[derive(Debug)]
+pub struct StreamSlot<'a>(pub &'a dyn CovertChannel);
+
+impl Transmission for StreamSlot<'_> {
+    fn name(&self) -> &str {
+        self.0.name()
     }
 
-    /// Runs one transmission slot and returns `(probe_cycles, slot_cycles)`.
-    fn slot(
-        &self,
-        state: &mut SlotState<'_>,
-        arch: Architecture,
-        channel: &dyn CovertChannel,
-        attacker_core: NodeId,
-        victim_core: NodeId,
-        bit: bool,
-    ) -> (u64, u64) {
+    /// Under IRONHIDE each side issues from the first core of its own
+    /// cluster; otherwise they time-share the machine as the channel
+    /// prefers.
+    fn cores(&self, clusters: Option<&ClusterManager>, cores: usize) -> (NodeId, NodeId) {
+        match clusters {
+            Some(manager) => {
+                let first = |cluster| manager.cores_iter(cluster).next().expect("non-empty");
+                (first(ClusterId::Insecure), first(ClusterId::Secure))
+            }
+            None => match self.0.placement() {
+                ChannelPlacement::SharedCore => (NodeId(0), NodeId(0)),
+                ChannelPlacement::DistinctCores => (NodeId(0), NodeId(cores - 1)),
+            },
+        }
+    }
+
+    fn begin(&mut self, machine: &mut Machine) {
+        machine.enable_latency_trace(self.0.probe().len().max(1));
+    }
+
+    fn slot(&mut self, run: &mut AttackRun<'_>, bit: bool) -> Result<(u64, u64), RunError> {
+        let channel = self.0;
         let mut total = 0u64;
 
         // 1. The attacker primes the monitored structure.
-        total += state.issue(state.attacker, attacker_core, channel.prime(), arch, true);
+        total += run.issue(run.attacker, run.attacker_core, channel.prime(), true);
 
         // 2. The victim enters its secure phase, crossing the same boundary
         //    the performance runner prices: MI6 purges, the fence flushes,
         //    the others cross for free or for a constant crypto cost.
-        total += boundary_cost(&mut state.machine, arch, &self.config, &self.params);
+        total += run.cross_boundary();
 
         // 3. The fixed interaction protocol: the victim touches the shared
         //    IPC region (insecure memory) identically every slot, so the
         //    protocol itself carries no information.
-        state.machine.set_ipc_marker(true);
-        total += state.issue(state.attacker, victim_core, channel.victim_protocol(), arch, false);
-        state.machine.set_ipc_marker(false);
+        run.machine.set_ipc_marker(true);
+        total += run.issue(run.attacker, run.victim_core, channel.victim_protocol(), false);
+        run.machine.set_ipc_marker(false);
 
         // 4. The secret-dependent burst in the victim's own address space.
         if bit {
-            total += state.issue(state.victim, victim_core, channel.victim_secret(), arch, false);
+            total += run.issue(run.victim, run.victim_core, channel.victim_secret(), false);
         }
 
         // 5. The victim leaves its secure phase.
-        total += boundary_cost(&mut state.machine, arch, &self.config, &self.params);
+        total += run.cross_boundary();
 
         // 6. The attacker probes, observing only its own access latencies
         //    through the machine's latency-trace hook.
-        if let Some(trace) = state.machine.latency_trace_mut() {
+        if let Some(trace) = run.machine.latency_trace_mut() {
             trace.clear();
         }
-        let issued = state.issue(state.attacker, attacker_core, channel.probe(), arch, true);
-        let probe =
-            state.machine.latency_trace().map(|trace| trace.total_cycles()).unwrap_or(issued);
+        let issued = run.issue(run.attacker, run.attacker_core, channel.probe(), true);
+        let probe = run.machine.latency_trace().map(|trace| trace.total_cycles()).unwrap_or(issued);
         debug_assert_eq!(probe, issued, "latency trace must observe exactly the probe stream");
         total += probe;
-        (probe, total)
-    }
-}
-
-/// Mutable per-run state bundled so the slot helper stays readable.
-#[derive(Debug)]
-struct SlotState<'a> {
-    machine: Machine,
-    spec: &'a mut SpeculativeAccessCheck,
-    attacker: ProcessId,
-    victim: ProcessId,
-}
-
-impl SlotState<'_> {
-    /// Issues one reference stream on `core` against `pid`'s address space
-    /// through the batched access engine, screening insecure-issued
-    /// references through the speculative-access check when the architecture
-    /// mandates it (the same shared [`issue_run`] the performance runner
-    /// uses).
-    fn issue(
-        &mut self,
-        pid: ProcessId,
-        core: NodeId,
-        refs: &RefStream,
-        arch: Architecture,
-        issuer_is_insecure: bool,
-    ) -> u64 {
-        let screened = arch.speculative_check() && issuer_is_insecure;
-        let mut cycles = 0;
-        for r in refs.runs() {
-            cycles += issue_run(&mut self.machine, self.spec, pid, core, *r, screened);
-        }
-        cycles
+        Ok((probe, total))
     }
 }
 
@@ -494,7 +533,9 @@ mod tests {
         let runner = AttackRunner::new(MachineConfig::attack_testbench());
         let channel = TinyChannel::new();
         let bits = [true, false, true, false, false, true];
-        let open = runner.run(Architecture::Insecure, &channel, &bits).unwrap();
+        let open = runner
+            .run(Architecture::Insecure, &mut StreamSlot(&channel), &bits, &mut None)
+            .unwrap();
         assert_eq!(open.probe_cycles.len(), bits.len());
         let ones: Vec<u64> =
             bits.iter().zip(&open.probe_cycles).filter(|(b, _)| **b).map(|(_, c)| *c).collect();
@@ -505,7 +546,9 @@ mod tests {
             "victim activity must slow the attacker's probes ({ones:?} vs {zeros:?})"
         );
 
-        let closed = runner.run(Architecture::Ironhide, &channel, &bits).unwrap();
+        let closed = runner
+            .run(Architecture::Ironhide, &mut StreamSlot(&channel), &bits, &mut None)
+            .unwrap();
         assert!(closed.isolation.is_clean(), "violations: {:?}", closed.isolation.violations);
         let spread =
             closed.probe_cycles.iter().max().unwrap() - closed.probe_cycles.iter().min().unwrap();
@@ -519,17 +562,16 @@ mod tests {
     /// particular is exactly what the coherence-state channel would read.
     #[test]
     fn recycled_machine_attack_is_byte_identical() {
-        let runner = AttackRunner::new(MachineConfig::attack_testbench()).with_warmup(2);
+        let runner = AttackRunner::new(MachineConfig::attack_testbench());
         let channel = TinyChannel::new();
         let bits = [true, false, false, true, true, false];
-        let (fresh, machine) =
-            runner.run_recycled(Architecture::Insecure, &channel, &bits, None).unwrap();
+        let mut pool = None;
+        let mut run = |arch| runner.run(arch, &mut StreamSlot(&channel), &bits, &mut pool).unwrap();
+        let fresh = run(Architecture::Insecure);
         // Recycle through a *different* architecture first, so cluster maps,
         // slice restrictions and purge state all get exercised in between.
-        let (_, machine) =
-            runner.run_recycled(Architecture::Ironhide, &channel, &bits, Some(machine)).unwrap();
-        let (recycled, _) =
-            runner.run_recycled(Architecture::Insecure, &channel, &bits, Some(machine)).unwrap();
+        run(Architecture::Ironhide);
+        let recycled = run(Architecture::Insecure);
         assert_eq!(fresh.probe_cycles, recycled.probe_cycles);
         assert_eq!(fresh.payload_cycles, recycled.payload_cycles);
         assert_eq!(fresh.isolation.violations, recycled.isolation.violations);
@@ -537,11 +579,73 @@ mod tests {
 
     #[test]
     fn mi6_boundary_purges_between_phases() {
-        let runner = AttackRunner::new(MachineConfig::attack_testbench()).with_warmup(1);
+        let runner = AttackRunner::new(MachineConfig::attack_testbench());
         let channel = TinyChannel::new();
-        let trace = runner.run(Architecture::Mi6, &channel, &[true, false]).unwrap();
+        let trace = runner
+            .run(Architecture::Mi6, &mut StreamSlot(&channel), &[true, false], &mut None)
+            .unwrap();
         let spread =
             trace.probe_cycles.iter().max().unwrap() - trace.probe_cycles.iter().min().unwrap();
         assert!(spread <= 2, "MI6 purge must flatten the channel (spread {spread})");
+    }
+
+    /// What the runner asked of a [`Recorder`], in call order.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Call {
+        Begin,
+        Slot(bool),
+        End,
+    }
+
+    /// A transmission that sends nothing: it records every call, reports
+    /// slot `i`'s probe as `i` cycles and its cost as `2^i` cycles, so a sum
+    /// of slot costs names exactly the slots in it.
+    #[derive(Debug, Default)]
+    struct Recorder {
+        calls: Vec<Call>,
+        slots: u32,
+    }
+
+    impl Transmission for Recorder {
+        fn name(&self) -> &str {
+            "recorder"
+        }
+        fn cores(&self, _: Option<&ClusterManager>, cores: usize) -> (NodeId, NodeId) {
+            (NodeId(0), NodeId(cores - 1))
+        }
+        fn begin(&mut self, _: &mut Machine) {
+            self.calls.push(Call::Begin);
+        }
+        fn slot(&mut self, _: &mut AttackRun<'_>, bit: bool) -> Result<(u64, u64), RunError> {
+            self.calls.push(Call::Slot(bit));
+            let i = self.slots;
+            self.slots += 1;
+            Ok((u64::from(i), 1 << i))
+        }
+        fn end(&mut self, _: &mut Machine) {
+            self.calls.push(Call::End);
+        }
+    }
+
+    #[test]
+    fn runner_warms_up_alternating_then_measures_only_the_payload() {
+        let payload = [true, true, false, true, false, false];
+        let mut recorder = Recorder::default();
+        let trace = AttackRunner::new(MachineConfig::attack_testbench())
+            .run(Architecture::Insecure, &mut recorder, &payload, &mut None)
+            .unwrap();
+
+        let warmup = AttackRunner::WARMUP_SLOTS;
+        assert_eq!(warmup, 8);
+        let mut expected = vec![Call::Begin];
+        expected.extend((0..warmup).map(|i| Call::Slot(i % 2 == 0)));
+        expected.extend(payload.iter().map(|&bit| Call::Slot(bit)));
+        expected.push(Call::End);
+        assert_eq!(recorder.calls, expected);
+
+        let payload_slots = warmup as u32..(warmup + payload.len()) as u32;
+        let probes: Vec<u64> = payload_slots.clone().map(u64::from).collect();
+        assert_eq!(trace.probe_cycles, probes);
+        assert_eq!(trace.payload_cycles, payload_slots.map(|i| 1u64 << i).sum::<u64>());
     }
 }

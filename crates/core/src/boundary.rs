@@ -2,11 +2,12 @@
 //! ([`place`]) and what one boundary crossing costs ([`boundary_cost`]).
 //!
 //! The five architectures differ in exactly these two decisions, so each is
-//! defined once here and every runner calls it: the performance
-//! [`ExperimentRunner`](crate::runner::ExperimentRunner), the covert-channel
-//! [`AttackRunner`](crate::attack::AttackRunner) and the attacks crate's
-//! reconfiguration-window attack. The machine the attacks run against is
-//! therefore the machine the figures price by construction.
+//! defined once here and both runners call it: the performance
+//! [`ExperimentRunner`](crate::runner::ExperimentRunner) and the
+//! [`AttackRunner`](crate::attack::AttackRunner) that every covert channel
+//! runs through, the reconfiguration-window attack included. The machine the
+//! attacks run against is therefore the machine the figures price by
+//! construction.
 //!
 //! MI6 pays for strong isolation at every enclave entry and exit: the
 //! SGX-style constant transition cost (pipeline flush, enclave data crypto

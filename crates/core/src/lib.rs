@@ -81,7 +81,8 @@ pub mod tenancy;
 pub use app::{Interaction, InteractiveApp, MemRef, ProcessProfile, RefRun, RefStream, WorkUnit};
 pub use arch::{ArchParams, Architecture};
 pub use attack::{
-    AttackOutcome, AttackRunner, AttackTrace, ChannelPlacement, ChannelVerdict, CovertChannel,
+    AttackOutcome, AttackRun, AttackRunner, AttackTrace, ChannelPlacement, ChannelVerdict,
+    CovertChannel, StreamSlot, Transmission,
 };
 pub use boundary::mi6_boundary_cost;
 pub use cluster::{ClusterConfig, ClusterManager, PurgeOrder, ReconfigError};

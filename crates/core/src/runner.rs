@@ -207,16 +207,6 @@ impl ExperimentRunner {
         self
     }
 
-    /// The machine configuration used for each run.
-    pub fn machine_config(&self) -> &MachineConfig {
-        &self.config
-    }
-
-    /// The re-allocation policy in use.
-    pub fn realloc_policy(&self) -> ReallocPolicy {
-        self.realloc
-    }
-
     /// Runs `app` under `arch` and reports the completion-time breakdown.
     ///
     /// # Errors

@@ -500,7 +500,7 @@ pub(crate) fn derive_seed(master_seed: u64, key: &str) -> u64 {
 ///
 /// The final argument is the cell's recycled-machine slot: the runner hands
 /// in a pooled machine from a previous cell (or `None`), and a factory that
-/// simulates should run through `AttackRunner::run_recycled` and leave the
+/// simulates should run through `AttackRunner::run`, which leaves the
 /// machine in the slot for the next cell. Machine construction is ~0.5 ms of
 /// way/directory-array allocation that would otherwise be paid per cell;
 /// recycling cannot affect results because `Machine::reset_pristine` is

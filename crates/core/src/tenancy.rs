@@ -35,7 +35,7 @@ use ironhide_sim::machine::Machine;
 use ironhide_sim::process::SecurityClass;
 
 use crate::cluster::{ClusterError, ClusterManager, ReconfigError};
-use crate::faults::{FaultArch, FaultKind, FaultSchedule};
+use crate::faults::{BackoffPolicy, FaultArch, FaultKind, FaultSchedule};
 use crate::fnv1a;
 use crate::kernel::{AppDomain, SecureKernel};
 use crate::sweep::{json_fields, json_string, CellError, Matrix, MatrixRow, SweepRunner};
@@ -682,42 +682,39 @@ impl<'a> TenancyStorm<'a> {
             let used: usize = active.iter().map(|t| t.granted).sum();
             let new_shape = (used.max(1).div_ceil(width) * width).clamp(min_shape, max_shape);
             if new_shape != shape {
-                if let Some((schedule, _)) = self.faults {
-                    // Degraded-capacity reconfiguration: shrink the request
-                    // toward what the healthy tiles can host, with bounded
-                    // exponential backoff between attempts. Exhausting the
-                    // attempts keeps the previous shape.
-                    let backoff = schedule.config().backoff;
-                    let mut attempt = 0u32;
-                    let mut request = new_shape;
-                    loop {
-                        match manager.reconfigure_degraded(machine, secure, host, request) {
-                            Ok(stall) => {
-                                shape = request;
-                                slo.record_stall(stall);
-                                now = now.saturating_add(stall);
-                                break;
-                            }
-                            Err(ReconfigError::Cluster(error)) => return Err(error),
-                            Err(_) if attempt < backoff.max_attempts => {
-                                let delay = backoff.delay(attempt);
-                                attempt += 1;
-                                backoff_retries += 1;
-                                slo.record_stall(delay);
-                                now = now.saturating_add(delay);
-                                let healthy = total - manager.quarantined().len();
-                                let healthy_shape =
-                                    (healthy.saturating_sub(1) / width * width).max(min_shape);
-                                request = request.min(healthy_shape);
-                            }
-                            Err(_) => break,
+                // Degraded-capacity reconfiguration: shrink the request
+                // toward what the healthy tiles can host, with bounded
+                // exponential backoff between attempts. Exhausting the
+                // attempts keeps the previous shape. With no tile
+                // quarantined every storm shape fits, so the first attempt
+                // succeeds.
+                let backoff = self
+                    .faults
+                    .map_or_else(BackoffPolicy::default, |(schedule, _)| schedule.config().backoff);
+                let mut attempt = 0u32;
+                let mut request = new_shape;
+                loop {
+                    match manager.reconfigure_degraded(machine, secure, host, request) {
+                        Ok(stall) => {
+                            shape = request;
+                            slo.record_stall(stall);
+                            now = now.saturating_add(stall);
+                            break;
                         }
+                        Err(ReconfigError::Cluster(error)) => return Err(error),
+                        Err(_) if attempt < backoff.max_attempts => {
+                            let delay = backoff.delay(attempt);
+                            attempt += 1;
+                            backoff_retries += 1;
+                            slo.record_stall(delay);
+                            now = now.saturating_add(delay);
+                            let healthy = total - manager.quarantined().len();
+                            let healthy_shape =
+                                (healthy.saturating_sub(1) / width * width).max(min_shape);
+                            request = request.min(healthy_shape);
+                        }
+                        Err(_) => break,
                     }
-                } else {
-                    let stall = manager.reconfigure(machine, secure, host, new_shape)?;
-                    shape = new_shape;
-                    slo.record_stall(stall);
-                    now = now.saturating_add(stall);
                 }
             }
 
@@ -726,12 +723,10 @@ impl<'a> TenancyStorm<'a> {
             // unaudited discipline skips this — that is exactly the negative
             // control the fault-window attack pins OPEN.
             if drop_fault_installed && audited {
-                let detected =
-                    (machine.dropped_scrub_log().len() + machine.dropped_purge_log().len()) as u64;
-                if detected > 0 {
-                    dropped_detected += detected;
-                    let recovered = machine.recover_dropped_scrubs();
-                    dropped_recovered += recovered;
+                let recovered = machine.recover_dropped_scrubs();
+                dropped_detected += recovered;
+                dropped_recovered += recovered;
+                if recovered > 0 {
                     let cost = recovered.saturating_mul(machine.config().latency.rehome_page);
                     slo.record_stall(cost);
                     now = now.saturating_add(cost);
@@ -742,12 +737,9 @@ impl<'a> TenancyStorm<'a> {
         let mut dropped_unrecovered = 0u64;
         if drop_fault_installed {
             if audited {
-                let detected =
-                    (machine.dropped_scrub_log().len() + machine.dropped_purge_log().len()) as u64;
-                if detected > 0 {
-                    dropped_detected += detected;
-                    dropped_recovered += machine.recover_dropped_scrubs();
-                }
+                let recovered = machine.recover_dropped_scrubs();
+                dropped_detected += recovered;
+                dropped_recovered += recovered;
             }
             dropped_unrecovered = machine.clear_scrub_drop_fault() as u64;
         }

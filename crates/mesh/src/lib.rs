@@ -49,7 +49,7 @@ pub use ironhide_fx as fx;
 pub use cluster::{ClusterId, ClusterMap, IsolationViolation};
 pub use ironhide_fx::{FxHashMap, FxHashSet, FxHasher};
 pub use latency::{LatencyModel, LinkLoad, NocLatencyConfig, NotALink};
-pub use packet::{Packet, PacketKind};
+pub use packet::PacketKind;
 pub use routing::{Route, RouteIter, RouteLinks, RouteTable, RoutingAlgorithm, TableRoute};
 pub use stats::NocStats;
 pub use topology::{Coord, MeshEdge, MeshTopology, NodeId, NodeSet, NodeSetIter};

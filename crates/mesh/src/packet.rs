@@ -1,12 +1,11 @@
-//! Network packet descriptors.
+//! Network packet classes.
 //!
 //! The timing model in this reproduction is analytical (latency is derived
 //! from hop counts and link load rather than from flit-by-flit simulation),
-//! but packets are still described explicitly so that the isolation auditor
-//! can reason about *which* traffic crossed *which* routers.
-
-use crate::cluster::ClusterId;
-use crate::topology::NodeId;
+//! but every packet is still counted by its class in [`NocStats`], whose
+//! cross-cluster and IPC counters the isolation auditor reads.
+//!
+//! [`NocStats`]: crate::stats::NocStats
 
 /// The protocol class of a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,37 +36,6 @@ impl PacketKind {
     }
 }
 
-/// A single packet traversing the mesh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Packet {
-    /// Injecting node.
-    pub src: NodeId,
-    /// Ejecting node.
-    pub dst: NodeId,
-    /// Protocol class.
-    pub kind: PacketKind,
-    /// Cluster on whose behalf the packet travels, when clustering is active.
-    pub cluster: Option<ClusterId>,
-}
-
-impl Packet {
-    /// Creates a packet without a cluster tag (pre-clustering / insecure
-    /// baseline traffic).
-    pub fn new(src: NodeId, dst: NodeId, kind: PacketKind) -> Self {
-        Packet { src, dst, kind, cluster: None }
-    }
-
-    /// Creates a packet tagged with the cluster that generated it.
-    pub fn for_cluster(src: NodeId, dst: NodeId, kind: PacketKind, cluster: ClusterId) -> Self {
-        Packet { src, dst, kind, cluster: Some(cluster) }
-    }
-
-    /// Size of this packet in flits.
-    pub fn flits(&self) -> usize {
-        self.kind.flits()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,14 +46,5 @@ mod tests {
         assert_eq!(PacketKind::Response.flits(), 5);
         assert_eq!(PacketKind::WriteBack.flits(), 5);
         assert_eq!(PacketKind::Maintenance.flits(), 1);
-    }
-
-    #[test]
-    fn construction() {
-        let p = Packet::new(NodeId(1), NodeId(9), PacketKind::Request);
-        assert!(p.cluster.is_none());
-        let q = Packet::for_cluster(NodeId(1), NodeId(9), PacketKind::Ipc, ClusterId::Secure);
-        assert_eq!(q.cluster, Some(ClusterId::Secure));
-        assert_eq!(q.flits(), 5);
     }
 }

@@ -26,16 +26,6 @@ pub enum RoutingAlgorithm {
     YX,
 }
 
-impl RoutingAlgorithm {
-    /// The complementary routing order.
-    pub fn complement(self) -> Self {
-        match self {
-            RoutingAlgorithm::XY => RoutingAlgorithm::YX,
-            RoutingAlgorithm::YX => RoutingAlgorithm::XY,
-        }
-    }
-}
-
 /// A lazily-stepped deterministic route: an iterator over the nodes a packet
 /// traverses (source first, destination last), computed on the fly from
 /// coordinates without allocating.
@@ -439,12 +429,6 @@ mod tests {
         for (a, b) in r.links() {
             assert_eq!(m.distance(a, b), 1, "link {a}->{b} must join neighbours");
         }
-    }
-
-    #[test]
-    fn complement_flips() {
-        assert_eq!(RoutingAlgorithm::XY.complement(), RoutingAlgorithm::YX);
-        assert_eq!(RoutingAlgorithm::YX.complement(), RoutingAlgorithm::XY);
     }
 
     #[test]

@@ -52,6 +52,7 @@ pub mod prelude {
     pub use ironhide_core::arch::{ArchParams, Architecture};
     pub use ironhide_core::attack::{
         AttackOutcome, AttackRunner, AttackTrace, ChannelPlacement, ChannelVerdict, CovertChannel,
+        StreamSlot, Transmission,
     };
     pub use ironhide_core::cluster::{ClusterManager, PurgeOrder};
     pub use ironhide_core::faults::{
