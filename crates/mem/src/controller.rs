@@ -1,5 +1,7 @@
 //! Variable-latency memory controllers with purgeable queues.
 
+use ironhide_mesh::round_half_up;
+
 use crate::dram::DramConfig;
 use crate::stats::MemStats;
 
@@ -10,10 +12,13 @@ use crate::stats::MemStats;
 pub struct ControllerMask(pub u32);
 
 impl ControllerMask {
+    /// The number of controllers a mask can select.
+    pub const CAPACITY: usize = u32::BITS as usize;
+
     /// A mask selecting controllers `[0, count)`.
     pub fn first(count: usize) -> Self {
-        assert!(count <= 32, "at most 32 controllers are supported");
-        if count == 32 {
+        assert!(count <= Self::CAPACITY, "at most 32 controllers are supported");
+        if count == Self::CAPACITY {
             ControllerMask(u32::MAX)
         } else {
             ControllerMask((1u32 << count) - 1)
@@ -28,7 +33,7 @@ impl ControllerMask {
     /// selected bits off the top of the mask otherwise.
     pub fn range(start: usize, count: usize) -> Self {
         assert!(
-            start.checked_add(count).is_some_and(|end| end <= 32),
+            start.checked_add(count).is_some_and(|end| end <= Self::CAPACITY),
             "controller range [{start}, {start} + {count}) exceeds the 32-controller mask"
         );
         ControllerMask(ControllerMask::first(count).0 << start)
@@ -36,7 +41,7 @@ impl ControllerMask {
 
     /// Whether controller `id` is selected.
     pub fn contains(self, id: usize) -> bool {
-        id < 32 && (self.0 >> id) & 1 == 1
+        id < Self::CAPACITY && (self.0 >> id) & 1 == 1
     }
 
     /// Number of selected controllers.
@@ -46,7 +51,7 @@ impl ControllerMask {
 
     /// Iterates over the selected controller ids in ascending order.
     pub fn iter(self) -> impl Iterator<Item = usize> {
-        (0..32usize).filter(move |i| self.contains(*i))
+        (0..Self::CAPACITY).filter(move |i| self.contains(*i))
     }
 
     /// Whether this mask shares any controller with `other` (strong isolation
@@ -135,8 +140,7 @@ impl MemoryController {
         // caller-reported pressure, capped at the physical queue depth.
         let target = (concurrent_pressure as f64).min(self.config.queue_depth as f64);
         self.queue_occupancy = 0.9 * self.queue_occupancy + 0.1 * target;
-        let queue_delay =
-            (self.queue_occupancy.round() as u64) * self.config.queue_cycles_per_entry;
+        let queue_delay = round_half_up(self.queue_occupancy) * self.config.queue_cycles_per_entry;
 
         let device = if row_hit { self.config.row_hit_cycles } else { self.config.row_miss_cycles };
         let total = device + queue_delay + self.fault_stall_cycles;
@@ -173,7 +177,7 @@ impl MemoryController {
     /// leak across an enclave boundary is drained. Returns the cycles charged
     /// for draining, proportional to the estimated occupancy.
     pub fn purge(&mut self) -> u64 {
-        let drain = (self.queue_occupancy.round() as u64) * self.config.queue_cycles_per_entry * 2;
+        let drain = round_half_up(self.queue_occupancy) * self.config.queue_cycles_per_entry * 2;
         self.queue_occupancy = 0.0;
         for r in &mut self.open_rows {
             *r = None;

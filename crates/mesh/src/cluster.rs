@@ -6,11 +6,22 @@
 //! traverses a router belonging to the other cluster. [`ClusterMap`] owns the
 //! tile-to-cluster assignment, selects a routing order that keeps each packet
 //! contained, and audits routes for violations.
+//!
+//! Containment is decided without walking routes. The map keeps, for every
+//! node, the *run* of same-cluster nodes through it along its row and along
+//! its column. A dimension-ordered route is two straight segments that meet
+//! at a corner, so it stays in its cluster iff each segment lies inside one
+//! run: the X-Y route from `a` to `b` is contained iff `a`'s row run covers
+//! `b.x` and the column run of the corner `(b.x, a.y)` covers `b.y`, and the
+//! Y-X route is the mirror image. [`ClusterMap::contained_order`] applies
+//! this rule in O(1) per pair, and the admission check
+//! ([`ClusterMap::verify_containment`]), [`ClusterMap::contained_route`] and
+//! the [`RouteTable`](crate::RouteTable) decide containment by it alone.
 
 use std::fmt;
 
 use crate::routing::{Route, RouteIter, RoutingAlgorithm};
-use crate::topology::{MeshTopology, NodeId, NodeSet};
+use crate::topology::{Coord, MeshTopology, NodeId, NodeSet};
 
 /// The two strongly isolated clusters formed by IRONHIDE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -65,18 +76,68 @@ impl fmt::Display for IsolationViolation {
 
 impl std::error::Error for IsolationViolation {}
 
+/// The first and last coordinate of a maximal run of same-cluster nodes
+/// along one mesh row or column. A map spans at most [`NodeSet::MAX_NODES`]
+/// nodes, so every coordinate fits a `u8`.
+#[derive(Clone, Copy, Default)]
+struct Run {
+    lo: u8,
+    hi: u8,
+}
+
+const _: () = assert!(NodeSet::MAX_NODES <= u8::MAX as usize + 1, "run coordinates are u8");
+
+impl Run {
+    /// Whether the run reaches coordinate `v`.
+    #[inline]
+    fn covers(self, v: usize) -> bool {
+        usize::from(self.lo) <= v && v <= usize::from(self.hi)
+    }
+}
+
+/// A node's runs: along its row (a span of columns) and along its column (a
+/// span of rows).
+#[derive(Clone, Copy, Default)]
+struct Runs {
+    row: Run,
+    col: Run,
+}
+
 /// Assignment of mesh tiles to the secure and insecure clusters.
 ///
 /// The paper allocates whole rows of tiles to each cluster whenever possible
 /// (so that plain X-Y routing already contains traffic) and falls back to
 /// Y-X routing for the row that is split between the clusters.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct ClusterMap {
     topology: MeshTopology,
     /// Secure-cluster membership as a bitset: `cluster_of` sits on the
     /// per-packet audit path, so the test must be O(1).
     secure: NodeSet,
+    /// Per node, in row-major order: its runs, derived from `secure` by
+    /// [`ClusterMap::new`] and kept current by [`ClusterMap::reassign`].
+    /// Inline, so cloning a map never allocates.
+    runs: [Runs; NodeSet::MAX_NODES],
 }
+
+/// The runs are derived from the membership, so a map prints and compares
+/// as its topology and secure set alone.
+impl fmt::Debug for ClusterMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ClusterMap")
+            .field("topology", &self.topology)
+            .field("secure", &self.secure)
+            .finish()
+    }
+}
+
+impl PartialEq for ClusterMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.topology == other.topology && self.secure == other.secure
+    }
+}
+
+impl Eq for ClusterMap {}
 
 impl ClusterMap {
     /// Creates a cluster map with an explicit set of secure nodes; every other
@@ -87,7 +148,52 @@ impl ClusterMap {
             assert!(n.0 < topology.nodes(), "secure node {n} out of range");
             set.insert(n);
         }
-        ClusterMap { topology, secure: set }
+        let mut map =
+            ClusterMap { topology, secure: set, runs: [Runs::default(); NodeSet::MAX_NODES] };
+        for y in 0..topology.height() {
+            map.measure_row(y);
+        }
+        for x in 0..topology.width() {
+            map.measure_column(x);
+        }
+        map
+    }
+
+    /// Recomputes the row runs of every node in row `y`.
+    fn measure_row(&mut self, y: usize) {
+        let width = self.topology.width();
+        self.measure_line(y * width, 1, width, |runs| &mut runs.row);
+    }
+
+    /// Recomputes the column runs of every node in column `x`.
+    fn measure_column(&mut self, x: usize) {
+        let (width, height) = (self.topology.width(), self.topology.height());
+        self.measure_line(x, width, height, |runs| &mut runs.col);
+    }
+
+    /// Splits the `len` nodes `first, first + stride, …` of one mesh line
+    /// into maximal same-cluster runs and stores each node's run (as
+    /// positions along the line) through `field`.
+    fn measure_line(
+        &mut self,
+        first: usize,
+        stride: usize,
+        len: usize,
+        field: fn(&mut Runs) -> &mut Run,
+    ) {
+        let secure = |i: usize| self.secure.contains(NodeId(first + i * stride));
+        let mut lo = 0;
+        for i in 0..len {
+            if i + 1 < len && secure(i) == secure(i + 1) {
+                continue;
+            }
+            // Positions are below `NodeSet::MAX_NODES`, so they fit a `u8`.
+            let run = Run { lo: lo as u8, hi: i as u8 };
+            for k in lo..=i {
+                *field(&mut self.runs[first + k * stride]) = run;
+            }
+            lo = i + 1;
+        }
     }
 
     /// Creates the paper's row-major split: the first `secure_cores` tiles (in
@@ -146,6 +252,9 @@ impl ClusterMap {
     pub fn reassign(&mut self, node: NodeId, cluster: ClusterId) -> ClusterId {
         assert!(node.0 < self.topology.nodes(), "node {node} out of range");
         let prev = self.cluster_of(node);
+        if prev == cluster {
+            return prev;
+        }
         match cluster {
             ClusterId::Secure => {
                 self.secure.insert(node);
@@ -154,6 +263,9 @@ impl ClusterMap {
                 self.secure.remove(node);
             }
         }
+        let c = self.topology.coord(node);
+        self.measure_row(c.y);
+        self.measure_column(c.x);
         prev
     }
 
@@ -192,42 +304,106 @@ impl ClusterMap {
         Ok(())
     }
 
+    /// The routing order that keeps a packet from `src` to `dst` inside
+    /// `cluster`: X-Y when that route is contained, else Y-X when that one
+    /// is, else `None` (also when `src` lies outside `cluster`). O(1): the
+    /// X-Y route is contained iff `src` is in `cluster`, `src`'s row run
+    /// covers `dst`'s column and the column run of the corner `(dst.x,
+    /// src.y)` covers `dst`'s row; Y-X swaps the dimensions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is out of range.
+    #[inline]
+    pub fn contained_order(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        cluster: ClusterId,
+    ) -> Option<RoutingAlgorithm> {
+        let (s, d) = (self.topology.coord(src), self.topology.coord(dst));
+        if self.cluster_of(src) != cluster {
+            return None;
+        }
+        self.order_between(s, d)
+    }
+
+    /// [`ClusterMap::contained_order`] by coordinates, for a source that
+    /// lies in the packet's cluster.
+    #[inline]
+    fn order_between(&self, s: Coord, d: Coord) -> Option<RoutingAlgorithm> {
+        let runs = |c: Coord| self.runs[c.y * self.topology.width() + c.x];
+        let home = runs(s);
+        if home.row.covers(d.x) && runs(Coord::new(d.x, s.y)).col.covers(d.y) {
+            Some(RoutingAlgorithm::XY)
+        } else if home.col.covers(d.y) && runs(Coord::new(s.x, d.y)).row.covers(d.x) {
+            Some(RoutingAlgorithm::YX)
+        } else {
+            None
+        }
+    }
+
     /// Selects a routing order for an intra-cluster packet from `src` to
-    /// `dst`, preferring X-Y and falling back to Y-X (bidirectional routing),
-    /// and returns the contained route in lazily-stepped form (materialise it
-    /// with [`RouteIter::materialize`] when a node list is wanted).
+    /// `dst` by [`ClusterMap::contained_order`] (X-Y preferred, Y-X as the
+    /// fallback: bidirectional routing) and returns the contained route in
+    /// lazily-stepped form (materialise it with [`RouteIter::materialize`]
+    /// when a node list is wanted).
     ///
     /// # Errors
     ///
-    /// Returns an [`IsolationViolation`] if neither deterministic order keeps
-    /// the packet inside its own cluster. The cluster manager treats this as a
-    /// configuration error and refuses such a cluster shape.
+    /// Returns an [`IsolationViolation`] naming the first foreign node on the
+    /// X-Y route if neither deterministic order keeps the packet inside its
+    /// own cluster. The cluster manager treats this as a configuration error
+    /// and refuses such a cluster shape.
     pub fn contained_route(
         &self,
         src: NodeId,
         dst: NodeId,
         cluster: ClusterId,
     ) -> Result<RouteIter, IsolationViolation> {
-        let xy = self.topology.route_iter(src, dst, RoutingAlgorithm::XY);
-        match self.audit_route_iter(xy, cluster) {
-            Ok(()) => Ok(xy),
-            Err(first) => {
-                let yx = self.topology.route_iter(src, dst, RoutingAlgorithm::YX);
-                self.audit_route_iter(yx, cluster).map(|()| yx).map_err(|_| first)
-            }
+        match self.contained_order(src, dst, cluster) {
+            Some(order) => Ok(self.topology.route_iter(src, dst, order)),
+            None => Err(self.xy_violation(src, dst, cluster)),
         }
+    }
+
+    /// The violation an uncontainable pair reports: the first foreign node on
+    /// its X-Y route. Only a refused pair walks its route.
+    fn xy_violation(&self, src: NodeId, dst: NodeId, cluster: ClusterId) -> IsolationViolation {
+        let xy = self.topology.route_iter(src, dst, RoutingAlgorithm::XY);
+        self.audit_route_iter(xy, cluster)
+            .expect_err("an uncontainable pair's X-Y route leaves its cluster")
     }
 
     /// Checks whether *every* pair of nodes inside each cluster can reach each
     /// other without leaving the cluster under bidirectional deterministic
     /// routing. This is the admission check the secure kernel runs before
-    /// activating a cluster configuration.
+    /// activating a cluster configuration. The first failing pair, taking
+    /// the secure cluster first and each cluster's pairs in ascending
+    /// `(src, dst)` order, is reported as [`ClusterMap::contained_route`]
+    /// reports it.
     pub fn verify_containment(&self) -> Result<(), IsolationViolation> {
+        // The X-Y route from `a` to `b` crosses the nodes of the Y-X route
+        // from `b` to `a`, so a pair is containable iff its reverse is. The
+        // first failing pair therefore has `a < b` (its reverse would come
+        // first otherwise), and only those pairs are checked. Nodes are
+        // stepped by coordinates in ascending node order, so the pair loop
+        // derives no coordinate from a node id.
+        let (width, height) = (self.topology.width(), self.topology.height());
+        let node = |c: Coord| NodeId(c.y * width + c.x);
+        let from = |start: Coord| {
+            (start.y..height).flat_map(move |y| {
+                let x0 = if y == start.y { start.x } else { 0 };
+                (x0..width).map(move |x| Coord::new(x, y))
+            })
+        };
         for cluster in [ClusterId::Secure, ClusterId::Insecure] {
-            let nodes = self.nodes_of(cluster);
-            for &a in &nodes {
-                for &b in &nodes {
-                    self.contained_route(a, b, cluster)?;
+            let inside = |c: &Coord| self.cluster_of(node(*c)) == cluster;
+            for s in from(Coord::new(0, 0)).filter(inside) {
+                for d in from(s).skip(1).filter(inside) {
+                    if self.order_between(s, d).is_none() {
+                        return Err(self.xy_violation(node(s), node(d), cluster));
+                    }
                 }
             }
         }

@@ -46,6 +46,20 @@ impl Default for NocLatencyConfig {
     }
 }
 
+/// Rounds a cycle estimate to the nearest whole cycle, halves up: the value
+/// `v.round() as u64` gives for every `f64`, but computed by truncating and
+/// comparing the fractional part with 0.5 instead of calling `f64::round`,
+/// which the baseline x86-64 target compiles to a software routine. The
+/// fractional part is exact: truncation keeps an `f64`'s integer part
+/// exactly, and subtracting it from the value is exact (Sterbenz). The NoC
+/// contention term and the memory controllers' queue estimate both round
+/// through here.
+#[inline]
+pub fn round_half_up(v: f64) -> u64 {
+    let whole = v as u64;
+    whole.saturating_add(u64::from(v - whole as f64 >= 0.5))
+}
+
 /// The error for a link fault on a node pair that is not a mesh link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NotALink {
@@ -196,7 +210,7 @@ impl LatencyModel {
         }
         let per_hop = self.config.router_cycles + self.config.link_cycles;
         let serialization = self.config.serialization_cycles * flits.saturating_sub(1) as u64;
-        per_hop * hops as u64 + serialization + contention.round() as u64 + fault_penalty
+        per_hop * hops as u64 + serialization + round_half_up(contention) + fault_penalty
     }
 
     /// Clears the contention state (network purge / reconfiguration).
@@ -216,6 +230,39 @@ mod tests {
 
     fn slots(m: MeshTopology, r: RouteIter) -> Vec<u16> {
         r.links().map(|(from, to)| m.link_slot(from, to).unwrap() as u16).collect()
+    }
+
+    #[test]
+    fn round_half_up_matches_f64_round() {
+        let edges = [
+            0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            (1u64 << 52) as f64 - 0.5,
+            (1u64 << 52) as f64 + 1.0,
+            -0.5,
+            -2.5,
+            f64::NAN,
+            f64::INFINITY,
+            1e30,
+        ];
+        for v in edges {
+            assert_eq!(round_half_up(v), v.round() as u64, "{v:?}");
+        }
+        // Values shaped like the two callers': a queue-occupancy EMA towards
+        // changing targets, and per-hop contention sums of EMA link loads.
+        let (mut queue, mut load) = (0.0f64, 0.0f64);
+        for i in 0..20_000u64 {
+            let target = ((i * 7919) % 17) as f64;
+            queue = 0.9 * queue + 0.1 * target;
+            load = 0.95 * load + 0.05 * if i % 3 == 0 { 5.0 } else { 1.0 };
+            let contention = (1..=(i % 15)).map(|h| (load * h as f64 / 5.0).min(1.0) * 4.0).sum();
+            for v in [queue, contention, load * 1e6] {
+                assert_eq!(round_half_up(v), v.round() as u64, "{v:?}");
+            }
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use ironhide_fx as fx;
 
 pub use cluster::{ClusterId, ClusterMap, IsolationViolation};
 pub use ironhide_fx::{FxHashMap, FxHashSet, FxHasher};
-pub use latency::{LatencyModel, LinkLoad, NocLatencyConfig, NotALink};
+pub use latency::{round_half_up, LatencyModel, LinkLoad, NocLatencyConfig, NotALink};
 pub use packet::PacketKind;
 pub use routing::{Route, RouteIter, RouteLinks, RouteTable, RoutingAlgorithm, TableRoute};
 pub use stats::NocStats;

@@ -1,10 +1,10 @@
 //! Deterministic dimension-ordered routing (X-Y and Y-X).
 //!
 //! [`RouteIter`] computes the nodes a packet traverses one step at a time
-//! from coordinates alone, without allocating. [`RouteTable`] applies the
-//! cluster-containment selection rule to each `(src, dst)` pair once per
-//! cluster map and keeps the chosen links as dense slots: the simulator
-//! charges every packet from it, so charging performs **zero heap
+//! from coordinates alone, without allocating. [`RouteTable`] keeps every
+//! `(src, dst)` pair's X-Y and Y-X routes as dense link slots and applies the
+//! cluster-containment selection rule to each pair once per cluster map: the
+//! simulator charges every packet from it, so charging performs **zero heap
 //! allocations** and no route stepping. [`Route`] (an ordered `Vec` of
 //! nodes) is kept as a test/debug convenience and is itself built by
 //! collecting a [`RouteIter`].
@@ -227,8 +227,7 @@ impl MeshTopology {
     }
 }
 
-/// Every `(src, dst)` route of the mesh under one cluster map, each resolved
-/// once and stored as link slots ([`MeshTopology::link_slot`]).
+/// Every `(src, dst)` route of the mesh under one cluster map.
 ///
 /// The selection rule:
 ///
@@ -236,33 +235,44 @@ impl MeshTopology {
 ///   memory-controller attachment point) routes X-Y — the controller is
 ///   shared infrastructure dedicated per cluster by the DRAM-region map, so
 ///   it is not counted against the cluster boundary;
-/// * traffic within one cluster takes [`ClusterMap::contained_route`],
+/// * traffic within one cluster takes [`ClusterMap::contained_order`],
 ///   falling back to X-Y when neither order is contained;
 /// * traffic across clusters routes X-Y (only IPC-class traffic is
 ///   expected to cross; the isolation auditor in `ironhide-core` flags
 ///   anything else), and so does everything when no cluster map is active.
 ///
-/// A route's links therefore depend only on `(src, dst)`, the edge nodes
-/// and the cluster map. The table owns the map, so replacing it
+/// Every rule picks one of a pair's two dimension-ordered routes, and
+/// neither depends on the map. So [`RouteTable::new`] lays out both routes
+/// of every pair once, as link slots ([`MeshTopology::link_slot`]) in two
+/// arrays that share one offset table, and a pair's *choice* under the
+/// current map — its order and its cluster pair — is all that is resolved,
+/// on first use. The table owns the map, so replacing it
 /// ([`RouteTable::set_cluster_map`]) is the one way to change a route, and
-/// it forgets every resolved one.
-///
-/// Every rule picks a dimension-ordered route, which crosses exactly the
-/// Manhattan distance in links, so each pair's slot range is fixed when the
-/// table is built and resolving writes in place: after [`RouteTable::new`]
-/// the table never allocates.
+/// it forgets every choice. After [`RouteTable::new`] the table never
+/// allocates and never writes a link slot.
 #[derive(Debug, Clone)]
 pub struct RouteTable {
     topology: MeshTopology,
     edge: NodeSet,
     map: Option<ClusterMap>,
     /// `starts[src × nodes + dst]` is where the pair's link slots begin in
-    /// `links`; the next pair's start is where they end.
+    /// `xy` and in `yx`; the next pair's start is where they end.
     starts: Vec<u32>,
-    links: Vec<u16>,
-    /// Per pair: `None` until the route is resolved under the current map,
-    /// then the cluster pair its packets are recorded with.
-    resolved: Vec<Option<Option<(ClusterId, ClusterId)>>>,
+    /// Every pair's X-Y route as link slots, in traversal order.
+    xy: Vec<u16>,
+    /// Every pair's Y-X route, laid out like `xy`.
+    yx: Vec<u16>,
+    /// Per pair: `None` until the pair's route is chosen under the current
+    /// map.
+    chosen: Vec<Option<Choice>>,
+}
+
+/// A pair's route under one cluster map: which of its two routes packets
+/// take, and the cluster pair they are recorded with.
+#[derive(Debug, Clone, Copy)]
+struct Choice {
+    order: RoutingAlgorithm,
+    clusters: Option<(ClusterId, ClusterId)>,
 }
 
 /// One resolved route of a [`RouteTable`].
@@ -277,8 +287,9 @@ pub struct TableRoute<'a> {
 }
 
 impl RouteTable {
-    /// Builds an empty table for `topology` with no cluster map. `edge`
-    /// holds the nodes whose traffic is edge traffic.
+    /// Builds the table for `topology` with no cluster map, laying out both
+    /// dimension-ordered routes of every pair. `edge` holds the nodes whose
+    /// traffic is edge traffic.
     pub fn new(topology: MeshTopology, edge: NodeSet) -> Self {
         assert!(topology.link_slots() <= 1 << 16, "mesh exceeds the route table's u16 link slots");
         let n = topology.nodes();
@@ -294,13 +305,26 @@ impl RouteTable {
             }
         }
         starts.push(total);
+        let slots = |order| {
+            let mut links = Vec::with_capacity(total as usize);
+            for a in topology.iter_nodes() {
+                for b in topology.iter_nodes() {
+                    links.extend(topology.route_iter(a, b, order).links().map(|(from, to)| {
+                        topology.link_slot(from, to).expect("route links join mesh neighbours")
+                            as u16
+                    }));
+                }
+            }
+            links
+        };
         RouteTable {
             topology,
             edge,
             map: None,
             starts,
-            links: vec![0; total as usize],
-            resolved: vec![None; n * n],
+            xy: slots(RoutingAlgorithm::XY),
+            yx: slots(RoutingAlgorithm::YX),
+            chosen: vec![None; n * n],
         }
     }
 
@@ -309,7 +333,7 @@ impl RouteTable {
         self.map.as_ref()
     }
 
-    /// Activates (or clears) a cluster map and forgets every resolved route.
+    /// Activates (or clears) a cluster map and forgets every pair's choice.
     ///
     /// # Panics
     ///
@@ -323,11 +347,11 @@ impl RouteTable {
             );
         }
         self.map = map;
-        self.resolved.fill(None);
+        self.chosen.fill(None);
     }
 
-    /// The route from `src` to `dst` under the current cluster map,
-    /// resolved on first use.
+    /// The route from `src` to `dst` under the current cluster map, chosen
+    /// on first use.
     ///
     /// # Panics
     ///
@@ -337,42 +361,33 @@ impl RouteTable {
         let n = self.topology.nodes();
         assert!(src.0 < n && dst.0 < n, "node out of route-table range");
         let pair = src.0 * n + dst.0;
-        let slots = self.starts[pair] as usize..self.starts[pair + 1] as usize;
-        let clusters = match self.resolved[pair] {
-            Some(clusters) => clusters,
+        let choice = match self.chosen[pair] {
+            Some(choice) => choice,
             None => {
-                let clusters = self.resolve(src, dst, slots.clone());
-                self.resolved[pair] = Some(clusters);
-                clusters
+                let choice = self.choose(src, dst);
+                self.chosen[pair] = Some(choice);
+                choice
             }
         };
-        TableRoute { links: &self.links[slots], clusters }
+        let slots = self.starts[pair] as usize..self.starts[pair + 1] as usize;
+        let links = match choice.order {
+            RoutingAlgorithm::XY => &self.xy[slots],
+            RoutingAlgorithm::YX => &self.yx[slots],
+        };
+        TableRoute { links, clusters: choice.clusters }
     }
 
-    /// Applies the selection rule to `(src, dst)`, writing the route's link
-    /// slots into `slots` and returning its cluster pair.
-    fn resolve(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        slots: std::ops::Range<usize>,
-    ) -> Option<(ClusterId, ClusterId)> {
-        let xy = self.topology.route_iter(src, dst, RoutingAlgorithm::XY);
+    /// Applies the selection rule to `(src, dst)`.
+    fn choose(&self, src: NodeId, dst: NodeId) -> Choice {
         let edge_traffic = self.edge.contains(src) || self.edge.contains(dst);
-        let (route, clusters) = match &self.map {
+        match &self.map {
             Some(map) if !edge_traffic => {
                 let (a, b) = (map.cluster_of(src), map.cluster_of(dst));
-                let route =
-                    if a == b { map.contained_route(src, dst, a).unwrap_or(xy) } else { xy };
-                (route, Some((a, b)))
+                let order = if a == b { map.contained_order(src, dst, a) } else { None };
+                Choice { order: order.unwrap_or(RoutingAlgorithm::XY), clusters: Some((a, b)) }
             }
-            _ => (xy, None),
-        };
-        for (slot, (from, to)) in self.links[slots].iter_mut().zip(route.links()) {
-            *slot =
-                self.topology.link_slot(from, to).expect("route links join mesh neighbours") as u16;
+            _ => Choice { order: RoutingAlgorithm::XY, clusters: None },
         }
-        clusters
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::fence::TemporalFenceConfig;
 use ironhide_cache::{CacheConfig, DirectoryConfig, TlbConfig};
-use ironhide_mem::DramConfig;
+use ironhide_mem::{ControllerMask, DramConfig};
 use ironhide_mesh::NocLatencyConfig;
 
 /// An inconsistency in a [`MachineConfig`], reported as a value so campaign
@@ -25,6 +25,28 @@ pub enum ConfigError {
     NonPositiveClock,
     /// A zero-byte DRAM region.
     EmptyDramRegion,
+    /// More memory controllers than a `ControllerMask` can select.
+    TooManyControllers {
+        /// Requested controller count.
+        controllers: usize,
+        /// Maximum selectable controller count.
+        max: usize,
+    },
+    /// A cache (`"l1"` or `"l2_slice"`, as the config fields are named) with
+    /// zero ways, a zero-byte line or too little capacity for one set.
+    EmptyCache {
+        /// The config field naming the cache.
+        cache: &'static str,
+    },
+    /// A TLB with no entries or zero-byte pages.
+    EmptyTlb,
+    /// A page size that is not a whole number of a cache's lines.
+    PageSplitsLines {
+        /// Page size in bytes.
+        page_bytes: usize,
+        /// The line size the page does not divide into.
+        line_bytes: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -39,6 +61,16 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::NonPositiveClock => write!(f, "clock frequency must be positive"),
             ConfigError::EmptyDramRegion => write!(f, "DRAM regions must be non-empty"),
+            ConfigError::TooManyControllers { controllers, max } => {
+                write!(f, "controller masks select up to {max} controllers, got {controllers}")
+            }
+            ConfigError::EmptyCache { cache } => {
+                write!(f, "{cache} cache must have ways, a non-zero line size and room for one set")
+            }
+            ConfigError::EmptyTlb => write!(f, "TLB must have entries and non-zero pages"),
+            ConfigError::PageSplitsLines { page_bytes, line_bytes } => {
+                write!(f, "{page_bytes}-byte pages do not hold whole {line_bytes}-byte lines")
+            }
         }
     }
 }
@@ -195,8 +227,9 @@ impl MachineConfig {
     }
 
     /// Validates internal consistency, reporting the first inconsistency
-    /// found (zero cores, zero controllers, a non-positive clock, …) as a
-    /// typed [`ConfigError`].
+    /// found (zero cores, zero controllers, a non-positive clock, an empty
+    /// cache or TLB, pages that split cache lines, …) as a typed
+    /// [`ConfigError`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cores() == 0 {
             return Err(ConfigError::ZeroCores);
@@ -210,11 +243,34 @@ impl MachineConfig {
         if self.controllers == 0 {
             return Err(ConfigError::ZeroControllers);
         }
+        if self.controllers > ControllerMask::CAPACITY {
+            return Err(ConfigError::TooManyControllers {
+                controllers: self.controllers,
+                max: ControllerMask::CAPACITY,
+            });
+        }
         if self.clock_ghz <= 0.0 {
             return Err(ConfigError::NonPositiveClock);
         }
         if self.dram_region_bytes == 0 {
             return Err(ConfigError::EmptyDramRegion);
+        }
+        for (cache, config) in [("l1", &self.l1), ("l2_slice", &self.l2_slice)] {
+            let set_bytes = config.ways.saturating_mul(config.line_bytes);
+            if set_bytes == 0 || config.size_bytes < set_bytes {
+                return Err(ConfigError::EmptyCache { cache });
+            }
+        }
+        if self.tlb.entries == 0 || self.tlb.page_bytes == 0 {
+            return Err(ConfigError::EmptyTlb);
+        }
+        for line_bytes in [self.l1.line_bytes, self.l2_slice.line_bytes] {
+            if !self.tlb.page_bytes.is_multiple_of(line_bytes) {
+                return Err(ConfigError::PageSplitsLines {
+                    page_bytes: self.tlb.page_bytes,
+                    line_bytes,
+                });
+            }
         }
         Ok(())
     }
@@ -281,6 +337,39 @@ mod tests {
         c.mesh_width = 1_000;
         c.mesh_height = 1_000;
         assert!(matches!(c.validate(), Err(ConfigError::TooManyCores { .. })));
+    }
+
+    #[test]
+    fn cache_tlb_and_controller_geometry_reported_as_typed_errors() {
+        let broken = |edit: fn(&mut MachineConfig)| {
+            let mut c = MachineConfig::small_test();
+            edit(&mut c);
+            c
+        };
+        let bad = [
+            (broken(|c| c.l1.ways = 0), ConfigError::EmptyCache { cache: "l1" }),
+            (broken(|c| c.l2_slice.ways = 0), ConfigError::EmptyCache { cache: "l2_slice" }),
+            (broken(|c| c.l1.size_bytes = 0), ConfigError::EmptyCache { cache: "l1" }),
+            (broken(|c| c.tlb.entries = 0), ConfigError::EmptyTlb),
+            (
+                broken(|c| c.l1.line_bytes = 48),
+                ConfigError::PageSplitsLines { page_bytes: 4096, line_bytes: 48 },
+            ),
+            (
+                broken(|c| c.tlb.page_bytes = 3000),
+                ConfigError::PageSplitsLines { page_bytes: 3000, line_bytes: 64 },
+            ),
+            (
+                broken(|c| c.controllers = 40),
+                ConfigError::TooManyControllers { controllers: 40, max: 32 },
+            ),
+        ];
+        for (i, (config, want)) in bad.into_iter().enumerate() {
+            assert_eq!(config.validate(), Err(want), "input {i}");
+            assert_eq!(crate::Machine::try_new(config).err(), Some(want), "input {i}");
+            assert!(!want.to_string().is_empty());
+        }
+        broken(|c| c.controllers = 32).validate().expect("a full controller mask is valid");
     }
 
     #[test]

@@ -115,12 +115,20 @@ struct BatchScratch {
     /// miss.
     mc: Option<usize>,
     /// Per-line directory slot hints, indexed by line offset within the
-    /// memoised page (`u32::MAX` = no hint). *Not* reset on rebind: a hint
-    /// is only acted on after [`Directory::access_private_fast`]
-    /// revalidates the slot (live entry, same line, sole sharer = this
-    /// core), so a stale hint — even one left by a different page whose
-    /// lines hash elsewhere — costs at worst one failed probe.
-    dir_slots: Vec<u32>,
+    /// memoised page. *Not* reset on rebind: a hint names the line it was
+    /// stored for, so one left by a different page is rejected here without
+    /// touching the directory, and a hint for the accessed line is only
+    /// acted on after [`Directory::access_private_fast`] revalidates the
+    /// slot (live entry, same line, sole sharer = this core).
+    dir_hints: Vec<Option<DirHint>>,
+}
+
+/// A directory slot hint: the entry index a full transaction located for
+/// `line`, kept while the line ended privately held.
+#[derive(Debug, Clone, Copy)]
+struct DirHint {
+    line: u64,
+    slot: u32,
 }
 
 impl BatchScratch {
@@ -225,12 +233,15 @@ impl CohNet<'_> {
 ///   tracked, entirely off the critical path (the requester does not wait
 ///   for it — but the traffic, and the victims' lost lines, are real).
 ///
-/// `slot_hint` is the private-page fast path: a directory entry index a
-/// previous transaction on the same line stored (or `u32::MAX`). When the
-/// hinted entry revalidates as still privately held by `core` — the case
-/// where the full transaction provably produces an empty outcome and
+/// `hint` is the private-page fast path: the caller's hint slot for this
+/// line offset, holding the directory entry index a previous transaction
+/// stored with its line (or nothing). When the hint is for this line and
+/// the hinted entry revalidates as still privately held by `core` — the
+/// case where the full transaction provably produces an empty outcome and
 /// charges nothing — [`Directory::access_private_fast`] applies the
-/// transaction without the set walk or the `DirOutcome` bookkeeping. The
+/// transaction without the set walk or the `DirOutcome` bookkeeping. A
+/// hint for another line is skipped without touching the directory: the
+/// full transaction then makes the same mutations the fast path would. The
 /// hint is refreshed from the full transaction's located slot whenever the
 /// line ends privately held. The scalar reference path passes `None` and
 /// always executes the full transaction, which is what makes the
@@ -247,26 +258,22 @@ fn coherence_transaction(
     write: bool,
     upgrade: bool,
     net: &mut CohNet<'_>,
-    slot_hint: Option<&mut u32>,
+    hint: Option<&mut Option<DirHint>>,
 ) -> u64 {
     let line = paddr / line_bytes;
-    let slot_hint = match slot_hint {
-        Some(hint) => {
-            // An upgrade still takes the full path: its request/ack bracket
-            // is charged even when no other sharer exists.
-            if !upgrade && dir.access_private_fast(line, core, write, *hint) {
-                return 0;
-            }
-            Some(hint)
+    // An upgrade still takes the full path: its request/ack bracket is
+    // charged even when no other sharer exists.
+    if let Some(Some(h)) = hint.as_deref() {
+        if !upgrade && h.line == line && dir.access_private_fast(line, core, write, h.slot) {
+            return 0;
         }
-        None => None,
-    };
+    }
     let (out, slot) = dir.access_locate(line, core, write);
-    if let Some(hint) = slot_hint {
+    if let Some(hint) = hint {
         // After a write the requester is the sole sharer by construction;
         // after a read it is unless the line ended Shared. Only a privately
         // held line is worth hinting.
-        *hint = if write || !out.shared { slot } else { u32::MAX };
+        *hint = (write || !out.shared).then_some(DirHint { line, slot });
     }
     let mut cycles = 0u64;
     if upgrade {
@@ -366,10 +373,10 @@ impl SegCtx<'_> {
         let lines_per_page = (self.page_bytes / line_bytes) as usize;
         let slot_idx = ((paddr % self.page_bytes) / line_bytes) as usize;
         let SegCtx { l1s, directories, net, regions, batch, .. } = self;
-        if batch.dir_slots.len() != lines_per_page {
+        if batch.dir_hints.len() != lines_per_page {
             // One-time lazy allocation (pages have one size per machine).
-            batch.dir_slots.clear();
-            batch.dir_slots.resize(lines_per_page, u32::MAX);
+            batch.dir_hints.clear();
+            batch.dir_hints.resize(lines_per_page, None);
         }
         let mut net = CohNet { net, regions };
         coherence_transaction(
@@ -382,7 +389,7 @@ impl SegCtx<'_> {
             write,
             upgrade,
             &mut net,
-            Some(&mut batch.dir_slots[slot_idx]),
+            Some(&mut batch.dir_hints[slot_idx]),
         )
     }
 }
@@ -1468,7 +1475,7 @@ impl Machine {
         let line_bytes = self.config.l1.line_bytes as u64;
         let Machine { directories, l1s, net, regions, .. } = self;
         let mut net = CohNet { net, regions };
-        // `slot_hint: None` — the scalar path is the unmemoised reference
+        // `hint: None` — the scalar path is the unmemoised reference
         // the batched engine's fast path is differentially tested against.
         coherence_transaction(
             &mut directories[home.0],

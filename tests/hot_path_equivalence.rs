@@ -562,7 +562,7 @@ fn private_page_fast_path_fires_and_stays_byte_identical() {
 /// that itself reconfigures routing mid-stream. This pins three
 /// invariants: the route table forgets its routes whenever the cluster map
 /// is replaced (including the reset's return to no map); the page memo is
-/// keyed by `route_epoch`, which the reset bumps; and `dir_slots` is never
+/// keyed by `route_epoch`, which the reset bumps; and `dir_hints` is never
 /// cleared at all, because every hint is revalidated before use.
 #[test]
 fn stale_caches_never_survive_pristine_reset() {
