@@ -75,27 +75,24 @@ pub enum FaultMode {
 /// What the scrub audit saw across one faulted assessment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultAudit {
-    /// Dropped scrub packets the audit detected.
-    pub dropped_detected: u64,
-    /// Dropped scrub packets replayed back to a clean state.
+    /// Dropped scrub packets the audit detected and replayed back to a
+    /// clean state.
     pub dropped_recovered: u64,
     /// Dropped scrub packets still unrecovered when the run ended.
     pub dropped_unrecovered: u64,
 }
 
 impl FaultAudit {
-    /// A clean audit: everything detected was recovered and nothing was left
-    /// behind — the recovery obligation is fully discharged.
+    /// A clean audit: nothing was left behind — the recovery obligation is
+    /// fully discharged.
     pub fn is_clean(&self) -> bool {
-        self.dropped_detected == self.dropped_recovered && self.dropped_unrecovered == 0
+        self.dropped_unrecovered == 0
     }
 
-    /// Runs the scrub audit on `machine`: every dropped packet it replays
-    /// counts as detected and recovered alike.
+    /// Runs the scrub audit on `machine`, counting every dropped packet it
+    /// replays.
     fn recover(&mut self, machine: &mut Machine) {
-        let recovered = machine.recover_dropped_scrubs();
-        self.dropped_detected += recovered;
-        self.dropped_recovered += recovered;
+        self.dropped_recovered += machine.recover_dropped_scrubs();
     }
 }
 
@@ -463,7 +460,7 @@ mod tests {
         );
         assert!((outcome.ber - 0.5).abs() <= 0.05, "BER {}", outcome.ber);
         assert_eq!(outcome.channel, AUDITED_DROP_LABEL);
-        assert!(audit.dropped_detected > 0, "the fault must actually drop packets");
+        assert!(audit.dropped_recovered > 0, "the fault must actually drop packets");
         assert!(audit.is_clean(), "recovery must be complete: {audit:?}");
     }
 
@@ -480,7 +477,7 @@ mod tests {
             outcome.max_probe_cycles
         );
         assert_eq!(outcome.channel, UNAUDITED_DROP_LABEL);
-        assert_eq!(audit.dropped_detected, 0, "nobody audited");
+        assert_eq!(audit.dropped_recovered, 0, "nobody audited");
         assert!(audit.dropped_unrecovered > 0, "residue must remain: {audit:?}");
     }
 

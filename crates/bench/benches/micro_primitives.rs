@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the security primitives whose per-event costs
 //! the paper quotes: the MI6 purge of private state and memory-controller
-//! queues (~0.19 ms per interaction event on the prototype), the IRONHIDE
+//! queues (the paper's per-interaction cost is the "MI6 purge per
+//! interaction" entry of `ironhide_core::sweep::PAPER_VALUES`), the IRONHIDE
 //! page re-homing step behind the ~15 ms one-time reconfiguration, and the
 //! shared-IPC-buffer round trip.
 //!

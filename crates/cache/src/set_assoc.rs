@@ -79,16 +79,6 @@ pub struct Way {
 }
 
 impl Way {
-    /// Whether the way holds a valid line.
-    pub fn is_valid(&self) -> bool {
-        self.valid
-    }
-
-    /// Whether the line is dirty.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
-    }
-
     /// The line's tag.
     pub fn tag(&self) -> u64 {
         self.tag
@@ -102,11 +92,6 @@ impl Way {
     /// Monotonic stamp of the fill (FIFO input).
     pub fn filled_at(&self) -> u64 {
         self.filled_at
-    }
-
-    /// Whether the line is in the MESI Shared state (see the field docs).
-    pub fn is_shared(&self) -> bool {
-        self.shared
     }
 
     /// A valid way with the given recency/fill stamps (for policy tests).

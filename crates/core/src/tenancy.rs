@@ -335,9 +335,8 @@ pub struct StormReport {
     pub quarantined_tiles: u64,
     /// Bounded-exponential-backoff retries charged against degraded capacity.
     pub backoff_retries: u64,
-    /// Dropped scrub packets the audit detected (audited discipline only).
-    pub dropped_scrubs_detected: u64,
-    /// Dropped scrub packets replayed back to a clean state.
+    /// Dropped scrub packets the audit detected and replayed back to a
+    /// clean state (audited discipline only).
     pub dropped_scrubs_recovered: u64,
     /// Dropped scrub packets never recovered (unaudited discipline: the storm
     /// fails open and this count is the attack surface it leaves behind).
@@ -446,7 +445,6 @@ impl<'a> TenancyStorm<'a> {
         let mut faults_injected = 0u64;
         let mut quarantined_tiles = 0u64;
         let mut backoff_retries = 0u64;
-        let mut dropped_detected = 0u64;
         let mut dropped_recovered = 0u64;
         // Tenants evicted by a tile failure and parked in the FIFO: their
         // eventual admission counts as a recovery, not a fresh admission.
@@ -724,7 +722,6 @@ impl<'a> TenancyStorm<'a> {
             // control the fault-window attack pins OPEN.
             if drop_fault_installed && audited {
                 let recovered = machine.recover_dropped_scrubs();
-                dropped_detected += recovered;
                 dropped_recovered += recovered;
                 if recovered > 0 {
                     let cost = recovered.saturating_mul(machine.config().latency.rehome_page);
@@ -737,9 +734,7 @@ impl<'a> TenancyStorm<'a> {
         let mut dropped_unrecovered = 0u64;
         if drop_fault_installed {
             if audited {
-                let recovered = machine.recover_dropped_scrubs();
-                dropped_detected += recovered;
-                dropped_recovered += recovered;
+                dropped_recovered += machine.recover_dropped_scrubs();
             }
             dropped_unrecovered = machine.clear_scrub_drop_fault() as u64;
         }
@@ -758,7 +753,6 @@ impl<'a> TenancyStorm<'a> {
             faults_injected,
             quarantined_tiles,
             backoff_retries,
-            dropped_scrubs_detected: dropped_detected,
             dropped_scrubs_recovered: dropped_recovered,
             dropped_scrubs_unrecovered: dropped_unrecovered,
         })

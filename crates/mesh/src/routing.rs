@@ -5,9 +5,10 @@
 //! `(src, dst)` pair's X-Y and Y-X routes as dense link slots and applies the
 //! cluster-containment selection rule to each pair once per cluster map: the
 //! simulator charges every packet from it, so charging performs **zero heap
-//! allocations** and no route stepping. [`Route`] (an ordered `Vec` of
-//! nodes) is kept as a test/debug convenience and is itself built by
-//! collecting a [`RouteIter`].
+//! allocations** and no route stepping. Each choice is stamped with the
+//! epoch of the map it was made under, so a new map forgets every choice in
+//! O(1). [`Route`] (an ordered `Vec` of nodes) is kept as a test/debug
+//! convenience and is itself built by collecting a [`RouteIter`].
 
 use crate::cluster::{ClusterId, ClusterMap};
 use crate::topology::{Coord, MeshTopology, NodeId, NodeSet};
@@ -248,8 +249,10 @@ impl MeshTopology {
 /// current map — its order and its cluster pair — is all that is resolved,
 /// on first use. The table owns the map, so replacing it
 /// ([`RouteTable::set_cluster_map`]) is the one way to change a route, and
-/// it forgets every choice. After [`RouteTable::new`] the table never
-/// allocates and never writes a link slot.
+/// it forgets every choice by starting a new *epoch*: each choice carries
+/// the epoch it was made in, and one from an earlier epoch is made again on
+/// its pair's next use. After [`RouteTable::new`] the table never allocates
+/// and never writes a link slot.
 #[derive(Debug, Clone)]
 pub struct RouteTable {
     topology: MeshTopology,
@@ -262,17 +265,26 @@ pub struct RouteTable {
     xy: Vec<u16>,
     /// Every pair's Y-X route, laid out like `xy`.
     yx: Vec<u16>,
-    /// Per pair: `None` until the pair's route is chosen under the current
-    /// map.
-    chosen: Vec<Option<Choice>>,
+    /// Per pair: its latest choice, current only if made in `epoch`.
+    chosen: Vec<Choice>,
+    /// The current map's epoch, from 1: [`RouteTable::set_cluster_map`]
+    /// starts a new one, so every choice made before is stale.
+    epoch: u32,
 }
 
 /// A pair's route under one cluster map: which of its two routes packets
 /// take, and the cluster pair they are recorded with.
 #[derive(Debug, Clone, Copy)]
 struct Choice {
+    /// The epoch the choice was made in.
+    epoch: u32,
     order: RoutingAlgorithm,
     clusters: Option<(ClusterId, ClusterId)>,
+}
+
+impl Choice {
+    /// A choice stale in every epoch, which start at 1.
+    const STALE: Choice = Choice { epoch: 0, order: RoutingAlgorithm::XY, clusters: None };
 }
 
 /// One resolved route of a [`RouteTable`].
@@ -324,7 +336,8 @@ impl RouteTable {
             starts,
             xy: slots(RoutingAlgorithm::XY),
             yx: slots(RoutingAlgorithm::YX),
-            chosen: vec![None; n * n],
+            chosen: vec![Choice::STALE; n * n],
+            epoch: 1,
         }
     }
 
@@ -333,7 +346,10 @@ impl RouteTable {
         self.map.as_ref()
     }
 
-    /// Activates (or clears) a cluster map and forgets every pair's choice.
+    /// Activates (or clears) a cluster map and forgets every pair's choice,
+    /// in O(1) by starting a new epoch. On the (practically unreachable) u32
+    /// wrap it marks every choice stale instead, so no old stamp can alias
+    /// a reused epoch.
     ///
     /// # Panics
     ///
@@ -347,11 +363,16 @@ impl RouteTable {
             );
         }
         self.map = map;
-        self.chosen.fill(None);
+        if self.epoch == u32::MAX {
+            self.chosen.fill(Choice::STALE);
+            self.epoch = 1;
+        } else {
+            self.epoch += 1;
+        }
     }
 
     /// The route from `src` to `dst` under the current cluster map, chosen
-    /// on first use.
+    /// on its first use in the current epoch.
     ///
     /// # Panics
     ///
@@ -361,14 +382,11 @@ impl RouteTable {
         let n = self.topology.nodes();
         assert!(src.0 < n && dst.0 < n, "node out of route-table range");
         let pair = src.0 * n + dst.0;
-        let choice = match self.chosen[pair] {
-            Some(choice) => choice,
-            None => {
-                let choice = self.choose(src, dst);
-                self.chosen[pair] = Some(choice);
-                choice
-            }
-        };
+        let mut choice = self.chosen[pair];
+        if choice.epoch != self.epoch {
+            choice = self.choose(src, dst);
+            self.chosen[pair] = choice;
+        }
         let slots = self.starts[pair] as usize..self.starts[pair + 1] as usize;
         let links = match choice.order {
             RoutingAlgorithm::XY => &self.xy[slots],
@@ -377,17 +395,18 @@ impl RouteTable {
         TableRoute { links, clusters: choice.clusters }
     }
 
-    /// Applies the selection rule to `(src, dst)`.
+    /// Applies the selection rule to `(src, dst)` in the current epoch.
     fn choose(&self, src: NodeId, dst: NodeId) -> Choice {
         let edge_traffic = self.edge.contains(src) || self.edge.contains(dst);
-        match &self.map {
+        let (order, clusters) = match &self.map {
             Some(map) if !edge_traffic => {
                 let (a, b) = (map.cluster_of(src), map.cluster_of(dst));
                 let order = if a == b { map.contained_order(src, dst, a) } else { None };
-                Choice { order: order.unwrap_or(RoutingAlgorithm::XY), clusters: Some((a, b)) }
+                (order.unwrap_or(RoutingAlgorithm::XY), Some((a, b)))
             }
-            _ => Choice { order: RoutingAlgorithm::XY, clusters: None },
-        }
+            _ => (RoutingAlgorithm::XY, None),
+        };
+        Choice { epoch: self.epoch, order, clusters }
     }
 }
 
@@ -495,6 +514,35 @@ mod tests {
                 let route = table.route(a, b);
                 assert_eq!(route.links.len(), m.distance(a, b));
                 assert_eq!(route.clusters, None);
+            }
+        }
+    }
+
+    /// A new map at the last epoch wraps it back to the table's first
+    /// epoch. Every pair was chosen in that first epoch, without a map, so
+    /// only the wrap's clear stops those choices from reading as current:
+    /// every pair must be chosen again under the new map.
+    #[test]
+    fn epoch_wrap_forgets_every_choice() {
+        let m = MeshTopology::new(4, 4);
+        let map = ClusterMap::new(m, [0, 1, 4, 5, 6, 9].map(NodeId));
+        let mut table = RouteTable::new(m, NodeSet::default());
+        for a in m.iter_nodes() {
+            for b in m.iter_nodes() {
+                assert_eq!(table.route(a, b).clusters, None);
+            }
+        }
+        let first = table.epoch;
+        table.epoch = u32::MAX;
+        table.set_cluster_map(Some(map.clone()));
+        assert_eq!(table.epoch, first);
+        let mut fresh = RouteTable::new(m, NodeSet::default());
+        fresh.set_cluster_map(Some(map));
+        for a in m.iter_nodes() {
+            for b in m.iter_nodes() {
+                let route = table.route(a, b);
+                assert!(route.clusters.is_some(), "{a} -> {b} kept its choice without a map");
+                assert_eq!(route, fresh.route(a, b), "{a} -> {b}");
             }
         }
     }

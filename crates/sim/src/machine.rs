@@ -679,11 +679,6 @@ impl Machine {
         &self.regions
     }
 
-    /// Nodes the memory controllers are attached to.
-    pub fn controller_nodes(&self) -> &[NodeId] {
-        &self.mc_nodes
-    }
-
     /// Page size in bytes.
     pub fn page_bytes(&self) -> u64 {
         self.config.tlb.page_bytes as u64
@@ -891,11 +886,6 @@ impl Machine {
     /// reconfiguration protocol never sets this.
     pub fn set_scrub_deferred(&mut self, deferred: bool) {
         self.scrub_deferred = deferred;
-    }
-
-    /// Number of re-homed pages whose scrub is currently deferred.
-    pub fn deferred_scrub_pages(&self) -> usize {
-        self.deferred_scrub_log.len()
     }
 
     /// Scrubs every page whose scrub was deferred (see

@@ -38,11 +38,6 @@ impl Clock {
         self.cycles_to_ns(cycles) / 1_000_000.0
     }
 
-    /// Converts cycles to seconds.
-    pub fn cycles_to_s(&self, cycles: u64) -> f64 {
-        self.cycles_to_ns(cycles) / 1_000_000_000.0
-    }
-
     /// Converts microseconds to cycles (rounded).
     pub fn us_to_cycles(&self, us: f64) -> u64 {
         (us * 1_000.0 * self.ghz).round() as u64
