@@ -19,8 +19,6 @@
 //! * [`FaultArch`] is the differential axis: the audited discipline detects
 //!   dropped scrubs and replays them (channels stay CLOSED), the unaudited
 //!   one fails open and is pinned OPEN as the negative control.
-//! * [`BackoffPolicy`] bounds the exponential retry a storm charges when it
-//!   re-admits tenants or reconfigures against degraded capacity.
 //! * [`FaultGrid`] / [`FaultMatrix`] sweep {kind × rate × arch} through
 //!   [`SweepRunner`] under the same determinism contract as every other
 //!   matrix in the tree.
@@ -76,6 +74,16 @@ impl FaultKind {
             FaultKind::DroppedScrub => "dropped-scrub",
         }
     }
+
+    /// The fault's magnitude: link penalty cycles per flit, or controller
+    /// stall cycles per request (0 for tile failures and dropped scrubs).
+    pub(crate) fn magnitude(self) -> u64 {
+        match self {
+            FaultKind::TileFailure | FaultKind::DroppedScrub => 0,
+            FaultKind::LinkDegradation => 48,
+            FaultKind::ControllerStall => 250,
+        }
+    }
 }
 
 impl fmt::Display for FaultKind {
@@ -90,7 +98,7 @@ impl fmt::Display for FaultKind {
 pub enum FaultArch {
     /// IRONHIDE's discipline: quarantine failed tiles, audit the scrub log
     /// after every reconfiguration, replay dropped packets, re-admit evicted
-    /// tenants with bounded backoff.
+    /// tenants after a fixed backoff.
     Ironhide,
     /// The fail-open baseline: no scrub audit, no recovery — evicted tenants
     /// vanish and dropped purge traffic leaves attacker-observable residue.
@@ -122,33 +130,8 @@ impl fmt::Display for FaultArch {
 }
 
 // ---------------------------------------------------------------------------
-// Backoff and schedule
+// Schedule
 // ---------------------------------------------------------------------------
-
-/// Bounded exponential backoff, in simulated cycles, for retries against
-/// degraded capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffPolicy {
-    /// Delay of the first retry.
-    pub base_cycles: u64,
-    /// Retries stop (and the request is refused) after this many attempts.
-    pub max_attempts: u32,
-}
-
-impl BackoffPolicy {
-    /// The delay charged for retry number `attempt` (0-based):
-    /// `base_cycles << attempt`, saturating instead of overflowing.
-    pub fn delay(&self, attempt: u32) -> u64 {
-        let factor = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
-        self.base_cycles.saturating_mul(factor)
-    }
-}
-
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        BackoffPolicy { base_cycles: 2_000, max_attempts: 6 }
-    }
-}
 
 /// Parameters one [`FaultSchedule`] is drawn from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,31 +142,12 @@ pub struct FaultConfig {
     /// discrete kinds, per-page drop probability for
     /// [`FaultKind::DroppedScrub`].
     pub rate_per_mille: u32,
-    /// Kind-specific magnitude: link penalty cycles or controller stall
-    /// cycles (unused for tile failures and dropped scrubs).
-    pub magnitude: u64,
-    /// How long (simulated cycles) a tile failure leaves capacity degraded —
-    /// re-admissions retry with backoff until this window closes.
-    pub repair_cycles: u64,
-    /// Retry policy against degraded capacity.
-    pub backoff: BackoffPolicy,
 }
 
 impl FaultConfig {
-    /// The campaign's default parameters for `kind` at `rate_per_mille`.
+    /// The parameters for `kind` at `rate_per_mille`.
     pub fn for_kind(kind: FaultKind, rate_per_mille: u32) -> Self {
-        let magnitude = match kind {
-            FaultKind::TileFailure | FaultKind::DroppedScrub => 0,
-            FaultKind::LinkDegradation => 48,
-            FaultKind::ControllerStall => 250,
-        };
-        FaultConfig {
-            kind,
-            rate_per_mille,
-            magnitude,
-            repair_cycles: 150_000,
-            backoff: BackoffPolicy::default(),
-        }
+        FaultConfig { kind, rate_per_mille }
     }
 }
 
@@ -196,6 +160,13 @@ pub struct FaultEvent {
     /// Raw tile draw.
     pub target: usize,
 }
+
+/// The empty schedule a fault-free storm replays.
+pub(crate) static NO_FAULTS: FaultSchedule = FaultSchedule {
+    config: FaultConfig { kind: FaultKind::TileFailure, rate_per_mille: 0 },
+    seed: 0,
+    events: Vec::new(),
+};
 
 /// A seed-pure, replayable fault event stream.
 ///
@@ -248,7 +219,8 @@ impl FaultSchedule {
     /// FNV-1a over the config and every drawn event — the number the
     /// seed-purity property test compares across replays.
     pub fn checksum(&self) -> u64 {
-        let header = [u64::from(self.config.rate_per_mille), self.config.magnitude, self.seed];
+        let header =
+            [u64::from(self.config.rate_per_mille), self.config.kind.magnitude(), self.seed];
         let events = self.events.iter().flat_map(|ev| [ev.at_event, ev.target as u64]);
         fnv1a(header.into_iter().chain(events).flat_map(u64::to_le_bytes))
     }
@@ -477,15 +449,6 @@ mod tests {
             .with_rate(120)
             .with_arch(FaultArch::Ironhide)
             .with_arch(FaultArch::Insecure)
-    }
-
-    #[test]
-    fn backoff_doubles_and_saturates() {
-        let backoff = BackoffPolicy { base_cycles: 1_000, max_attempts: 8 };
-        assert_eq!(backoff.delay(0), 1_000);
-        assert_eq!(backoff.delay(1), 2_000);
-        assert_eq!(backoff.delay(5), 32_000);
-        assert_eq!(backoff.delay(200), u64::MAX);
     }
 
     #[test]

@@ -87,8 +87,8 @@ pub use attack::{
 pub use boundary::mi6_boundary_cost;
 pub use cluster::{ClusterConfig, ClusterManager, PurgeOrder, ReconfigError};
 pub use faults::{
-    BackoffPolicy, FaultArch, FaultCell, FaultCellKey, FaultConfig, FaultEvent, FaultGrid,
-    FaultKind, FaultMatrix, FaultSchedule, FaultSweepError,
+    FaultArch, FaultCell, FaultCellKey, FaultConfig, FaultEvent, FaultGrid, FaultKind, FaultMatrix,
+    FaultSchedule, FaultSweepError,
 };
 pub use ipc::SharedIpcBuffer;
 pub use isolation::{IsolationAuditor, IsolationSummary};

@@ -25,6 +25,7 @@
 //!   [`SweepRunner`] under the same determinism contract as the performance
 //!   and attack grids.
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use rand::rngs::StdRng;
@@ -32,10 +33,10 @@ use rand::{Rng, RngCore, SeedableRng};
 
 use ironhide_mesh::NodeId;
 use ironhide_sim::machine::Machine;
-use ironhide_sim::process::SecurityClass;
+use ironhide_sim::process::{ProcessId, SecurityClass};
 
 use crate::cluster::{ClusterError, ClusterManager, ReconfigError};
-use crate::faults::{BackoffPolicy, FaultArch, FaultKind, FaultSchedule};
+use crate::faults::{FaultArch, FaultKind, FaultSchedule, NO_FAULTS};
 use crate::fnv1a;
 use crate::kernel::{AppDomain, SecureKernel};
 use crate::sweep::{json_fields, json_string, CellError, Matrix, MatrixRow, SweepRunner};
@@ -108,8 +109,7 @@ pub struct Arrival {
     pub at_cycle: u64,
     /// Index into the storm's profile list.
     pub profile: usize,
-    /// Secure cores requested (the profile's demand, possibly clamped to
-    /// capacity by the storm).
+    /// Secure cores requested (the profile's demand).
     pub demand_cores: usize,
     /// Exact service requirement drawn for this instance, in core·cycles.
     pub service_units: u64,
@@ -290,30 +290,44 @@ pub struct StormConfig {
     pub profiles: Vec<TenantProfile>,
 }
 
-/// One admitted tenant's live state inside the storm.
+/// One tenant's record inside the storm: its live state while admitted, its
+/// request while it waits in the queue.
 #[derive(Debug, Clone)]
-struct ActiveTenant {
+struct Tenant {
     tenant: u64,
     /// Arrival cycle — completion latency is measured from here, so queueing
     /// delay and reconfiguration stalls both surface in the SLO tails.
     arrived_at: u64,
+    /// Cores granted while admitted, cores demanded while queued.
     granted: usize,
     remaining_units: u64,
+    /// Whether a tile failure has evicted the tenant: its next admission is
+    /// a recovery, and while admitted it is counted in
+    /// [`StormReport::failed_recovered`], not [`StormReport::admitted`].
+    evicted: bool,
 }
 
 /// The outcome of one tenancy storm: conservation counts, SLO tails and the
 /// reconfiguration bill.
-#[derive(Debug, Clone)]
+///
+/// Every tenant is counted in exactly one of `admitted`, `denied`, `queued`
+/// and `failed_recovered`: the bucket it entered last.
+#[derive(Debug, Clone, Default)]
 pub struct StormReport {
     /// Tenants that arrived.
     pub arrived: u64,
-    /// Tenants ever admitted (directly, from the queue, or after shrinking
-    /// neighbours).
+    /// Tenants admitted (directly, from the queue, or after shrinking
+    /// neighbours) that no tile failure has evicted since. An eviction moves
+    /// the tenant out of this count, into the bucket its re-admission
+    /// attempt ends in.
     pub admitted: u64,
     /// Tenants rejected.
     pub denied: u64,
-    /// Tenants still waiting in the queue when the storm ended (always 0
-    /// after a full drain; kept for the conservation identity).
+    /// Tenants still waiting in the queue when the storm ended. The queue
+    /// drains unless its head demands more cores than the capacity holds:
+    /// the drain compares the head's full demand with the capacity, so after
+    /// tile failures shrink it a large tenant at the head blocks every tenant
+    /// behind it.
     pub queued: u64,
     /// Tenants attested by the secure kernel (always equals `arrived`:
     /// attestation precedes admission control).
@@ -327,13 +341,15 @@ pub struct StormReport {
     /// The cycle the last event completed at.
     pub final_cycle: u64,
     /// Tenants that lost their tile to an injected fault and were re-admitted
-    /// through the admission machinery (0 on every fault-free run).
+    /// through the admission machinery (0 on every fault-free run). A tenant
+    /// that a later failure evicts again leaves this count.
     pub failed_recovered: u64,
     /// Injected fault events that fired during the storm.
     pub faults_injected: u64,
     /// Tiles quarantined in response to tile failures.
     pub quarantined_tiles: u64,
-    /// Bounded-exponential-backoff retries charged against degraded capacity.
+    /// Backoff retries charged against degraded capacity: six per evicted
+    /// tenant, and up to six per refused reconfiguration.
     pub backoff_retries: u64,
     /// Dropped scrub packets the audit detected and replayed back to a
     /// clean state (audited discipline only).
@@ -360,26 +376,28 @@ impl StormReport {
 pub struct TenancyStorm<'a> {
     config: &'a StormConfig,
     policy: AdmissionPolicy,
-    faults: Option<(&'a FaultSchedule, FaultArch)>,
+    schedule: &'a FaultSchedule,
+    arch: FaultArch,
 }
 
 impl<'a> TenancyStorm<'a> {
-    /// Creates a storm for one (policy, config) combination.
+    /// Creates a fault-free storm for one (policy, config) combination: a
+    /// storm over an empty fault schedule.
     pub fn new(config: &'a StormConfig, policy: AdmissionPolicy) -> Self {
-        TenancyStorm { config, policy, faults: None }
+        TenancyStorm::with_faults(config, policy, &NO_FAULTS, FaultArch::Ironhide)
     }
 
     /// Creates a storm that replays `schedule` against the tenant stream,
-    /// responding with `arch`'s degradation discipline. An empty schedule is
-    /// inert: the storm is byte-identical to a fault-free [`TenancyStorm::new`]
-    /// run with the same seed.
+    /// responding with `arch`'s degradation discipline. A schedule drawn at
+    /// rate 0 is inert, whatever its kind: the storm is byte-identical to
+    /// the fault-free [`TenancyStorm::new`] run with the same seed.
     pub fn with_faults(
         config: &'a StormConfig,
         policy: AdmissionPolicy,
         schedule: &'a FaultSchedule,
         arch: FaultArch,
     ) -> Self {
-        TenancyStorm { config, policy, faults: Some((schedule, arch)) }
+        TenancyStorm { config, policy, schedule, arch }
     }
 
     /// Runs the storm on `machine` (recycled to pristine first) with the
@@ -389,397 +407,374 @@ impl<'a> TenancyStorm<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a [`ClusterError`] if a cluster shape is rejected (cannot
-    /// happen for row-quantised shapes on the shipped geometries).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine is too small to host one secure row plus the
-    /// host reserve.
+    /// [`ClusterError::EmptyCluster`] if the machine is too small to host one
+    /// secure row plus the host reserve; any other [`ClusterError`] if a
+    /// cluster shape is rejected (cannot happen for row-quantised shapes on
+    /// the shipped geometries).
     pub fn run(&self, machine: &mut Machine, seed: u64) -> Result<StormReport, ClusterError> {
-        machine.reset_pristine();
-        let total = machine.config().cores();
-        let width = machine.config().mesh_width;
-        let reserve = self.config.host_reserve_cores.max(width);
-        assert!(
-            total > reserve + width,
-            "machine of {total} cores cannot host a secure row plus a {reserve}-core reserve"
-        );
-        // The secure cluster is quantised to whole mesh rows so every shape
-        // keeps its memory-controller attachment points inside the cluster
-        // (the containment rule `ClusterMap` verifies).
-        let capacity = total - reserve;
-        let min_shape = width;
-        let max_shape = capacity - capacity % width;
-
-        let secure = machine.create_process("tenants", SecurityClass::Secure);
-        let host = machine.create_process("host", SecurityClass::Insecure);
-        let mut kernel = SecureKernel::new();
-        let (mut manager, _) = ClusterManager::form(machine, secure, host, min_shape)?;
-        let mut shape = min_shape;
-
-        let generator = ArrivalGenerator::new(
+        let mut run = StormRun::start(self, machine)?;
+        let arrivals = ArrivalGenerator::new(
             self.config.mean_interarrival_cycles,
             self.config.mean_service_scale,
             self.config.profiles.clone(),
-        );
-        let arrivals = generator.draw(seed, self.config.tenants);
-
-        let mut now = 0u64;
-        let mut next_arrival = 0usize;
-        let mut active: Vec<ActiveTenant> = Vec::new();
-        let mut fifo: Vec<Arrival> = Vec::new();
-        let mut slo = SloAccount::new();
-        let mut admitted = 0u64;
-        let mut denied = 0u64;
-        let mut attested = 0u64;
-
-        // Fault-injection state. All of it is inert (and costs nothing on the
-        // hot path) when the storm runs without a schedule or the schedule is
-        // empty, which is what keeps fault-free storms byte-identical to the
-        // pinned golden checksums.
-        let audited = self.faults.is_none_or(|(_, arch)| arch.audited());
-        let mut fault_cursor = 0usize;
-        let mut effective_capacity = capacity;
-        let mut failed_recovered = 0u64;
-        let mut faults_injected = 0u64;
-        let mut quarantined_tiles = 0u64;
-        let mut backoff_retries = 0u64;
-        let mut dropped_recovered = 0u64;
-        // Tenants evicted by a tile failure and parked in the FIFO: their
-        // eventual admission counts as a recovery, not a fresh admission.
-        let mut evicted_ids: Vec<u64> = Vec::new();
-        let drop_fault_installed = match self.faults {
-            Some((schedule, _))
-                if schedule.config().kind == FaultKind::DroppedScrub
-                    && schedule.config().rate_per_mille > 0 =>
-            {
-                machine.set_scrub_drop_fault(schedule.seed(), schedule.config().rate_per_mille);
-                true
-            }
-            _ => false,
-        };
-
+        )
+        .draw(seed, self.config.tenants);
+        let mut next = 0;
         loop {
-            // Earliest completion among active tenants; ties broken by
-            // arrival order for determinism.
-            let completion = active
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (now + t.remaining_units.div_ceil(t.granted as u64), t.tenant, i))
-                .min();
-            let arrival_cycle = arrivals.get(next_arrival).map(|a| a.at_cycle.max(now));
-            let (event_cycle, is_completion) = match (&completion, arrival_cycle) {
-                (Some((finish, _, _)), Some(at)) => {
-                    // A completion at the same cycle as an arrival settles
-                    // first, so the departing tenant's cores are free for
-                    // the admission decision.
-                    if *finish <= at {
-                        (*finish, true)
-                    } else {
-                        (at, false)
-                    }
+            let arrival_at = arrivals.get(next).map(|a| a.at_cycle.max(run.now));
+            match (run.next_departure(), arrival_at) {
+                // A departure at the same cycle as an arrival settles first,
+                // so the departing tenant's cores are free for the admission
+                // decision.
+                (Some((at, index)), arrival) if arrival.is_none_or(|arrival| at <= arrival) => {
+                    run.depart(at, index);
                 }
-                (Some((finish, _, _)), None) => (*finish, true),
-                (None, Some(at)) => (at, false),
-                (None, None) => break,
-            };
-
-            // Advance exact service accounting to the event cycle.
-            let dt = event_cycle - now;
-            if dt > 0 {
-                for t in &mut active {
-                    let progress = (t.granted as u64).saturating_mul(dt);
-                    t.remaining_units = t.remaining_units.saturating_sub(progress);
+                (_, Some(at)) => {
+                    run.arrive(at, &arrivals[next], next as u64);
+                    next += 1;
                 }
-                now = event_cycle;
+                (_, None) => break,
             }
-
-            if is_completion {
-                let idx = completion.expect("completion event has a tenant").2;
-                let done = active.remove(idx);
-                slo.record_completion(now.saturating_sub(done.arrived_at));
-                // Departures admit queued tenants strictly FIFO.
-                while let Some(front) = fifo.first() {
-                    let used: usize = active.iter().map(|t| t.granted).sum();
-                    if used + front.demand_cores > effective_capacity {
-                        break;
-                    }
-                    let a = fifo.remove(0);
-                    if let Some(pos) = evicted_ids.iter().position(|t| *t == a.tenant) {
-                        evicted_ids.swap_remove(pos);
-                        failed_recovered += 1;
-                    } else {
-                        admitted += 1;
-                    }
-                    self.admit(machine, secure, &a, &mut active);
-                }
-            } else {
-                let a = arrivals[next_arrival].clone();
-                next_arrival += 1;
-
-                // Fire every scheduled fault pinned to this arrival index.
-                // All fault handling is a pure function of the cell seed, so
-                // the storm stays replayable at any thread count.
-                if let Some((schedule, arch)) = self.faults {
-                    let events = schedule.events();
-                    while fault_cursor < events.len()
-                        && events[fault_cursor].at_event < next_arrival as u64
-                    {
-                        let ev = events[fault_cursor];
-                        fault_cursor += 1;
-                        match schedule.config().kind {
-                            FaultKind::TileFailure => {
-                                faults_injected += 1;
-                                let node = NodeId(ev.target % total);
-                                // A quarantine that would exhaust a cluster is
-                                // refused and the tile limps on in service.
-                                if let Ok(stall) = manager.quarantine(machine, secure, host, node) {
-                                    if stall > 0 {
-                                        quarantined_tiles += 1;
-                                        effective_capacity = effective_capacity.saturating_sub(1);
-                                        slo.record_stall(stall);
-                                        now = now.saturating_add(stall);
-                                        // The repair window this failure
-                                        // opens; re-admission retries back
-                                        // off until it closes.
-                                        let degraded_until =
-                                            now.saturating_add(schedule.config().repair_cycles);
-                                        if !active.is_empty() {
-                                            let idx = ev.target % active.len();
-                                            let victim = active.remove(idx);
-                                            admitted -= 1;
-                                            if arch.audited() {
-                                                // Retry against degraded
-                                                // capacity with bounded
-                                                // exponential backoff, charged
-                                                // as simulated stall cycles.
-                                                let backoff = schedule.config().backoff;
-                                                let mut attempt = 0u32;
-                                                while now < degraded_until
-                                                    && attempt < backoff.max_attempts
-                                                {
-                                                    let delay = backoff.delay(attempt);
-                                                    attempt += 1;
-                                                    backoff_retries += 1;
-                                                    slo.record_stall(delay);
-                                                    now = now.saturating_add(delay);
-                                                }
-                                                let used: usize =
-                                                    active.iter().map(|t| t.granted).sum();
-                                                if now >= degraded_until
-                                                    && used + victim.granted <= effective_capacity
-                                                {
-                                                    failed_recovered += 1;
-                                                    active.push(victim);
-                                                } else {
-                                                    match self.policy {
-                                                        AdmissionPolicy::Deny => denied += 1,
-                                                        AdmissionPolicy::Queue => {
-                                                            evicted_ids.push(victim.tenant);
-                                                            fifo.push(Arrival {
-                                                                tenant: victim.tenant,
-                                                                at_cycle: victim.arrived_at,
-                                                                profile: 0,
-                                                                demand_cores: victim.granted,
-                                                                service_units: victim
-                                                                    .remaining_units
-                                                                    .max(1),
-                                                            });
-                                                        }
-                                                        AdmissionPolicy::ShrinkNeighbours => {
-                                                            if shrink_neighbours(
-                                                                &mut active,
-                                                                victim.granted,
-                                                                effective_capacity,
-                                                            ) {
-                                                                failed_recovered += 1;
-                                                                active.push(victim);
-                                                            } else {
-                                                                denied += 1;
-                                                            }
-                                                        }
-                                                    }
-                                                }
-                                            } else {
-                                                // Unaudited discipline fails
-                                                // open: the tenant vanishes
-                                                // and is billed as denied so
-                                                // conservation still holds.
-                                                denied += 1;
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            FaultKind::LinkDegradation => {
-                                faults_injected += 1;
-                                let from = ev.target % total;
-                                let to = if from % width + 1 < width {
-                                    from + 1
-                                } else {
-                                    from.saturating_sub(1)
-                                };
-                                if from != to {
-                                    let penalty = schedule.config().magnitude;
-                                    for (a, b) in [(from, to), (to, from)] {
-                                        machine
-                                            .set_link_fault(NodeId(a), NodeId(b), penalty)
-                                            .expect("neighbouring tiles share a link");
-                                    }
-                                }
-                            }
-                            FaultKind::ControllerStall => {
-                                faults_injected += 1;
-                                let controllers = machine.config().controllers;
-                                machine.set_controller_fault_stall(
-                                    ev.target % controllers.max(1),
-                                    schedule.config().magnitude,
-                                );
-                            }
-                            // Continuous fault: installed before the loop,
-                            // audited after every reconfiguration below.
-                            FaultKind::DroppedScrub => {}
-                        }
-                    }
-                }
-
-                // One tenant = one attested allocation: measurement-based
-                // attestation happens before any admission decision.
-                let image =
-                    format!("tenant:{}:{}", a.tenant, self.config.profiles[a.profile].label);
-                let pid = ironhide_sim::process::ProcessId(1000 + a.tenant as usize);
-                kernel.attest(pid, image.as_bytes(), AppDomain(a.tenant)).expect("tenant attests");
-                attested += 1;
-
-                let demand = a.demand_cores.min(effective_capacity);
-                let used: usize = active.iter().map(|t| t.granted).sum();
-                if used + demand <= effective_capacity {
-                    admitted += 1;
-                    self.admit(machine, secure, &a, &mut active);
-                } else {
-                    match self.policy {
-                        AdmissionPolicy::Deny => denied += 1,
-                        AdmissionPolicy::Queue => fifo.push(a),
-                        AdmissionPolicy::ShrinkNeighbours => {
-                            if shrink_neighbours(&mut active, demand, effective_capacity) {
-                                admitted += 1;
-                                self.admit(machine, secure, &a, &mut active);
-                            } else {
-                                denied += 1;
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Resize the secure cluster to the new row-quantised shape; the
-            // stall freezes every tenant (their service clocks do not
-            // advance while the machine is stalled, so stalls surface in the
-            // completion tails).
-            let used: usize = active.iter().map(|t| t.granted).sum();
-            let new_shape = (used.max(1).div_ceil(width) * width).clamp(min_shape, max_shape);
-            if new_shape != shape {
-                // Degraded-capacity reconfiguration: shrink the request
-                // toward what the healthy tiles can host, with bounded
-                // exponential backoff between attempts. Exhausting the
-                // attempts keeps the previous shape. With no tile
-                // quarantined every storm shape fits, so the first attempt
-                // succeeds.
-                let backoff = self
-                    .faults
-                    .map_or_else(BackoffPolicy::default, |(schedule, _)| schedule.config().backoff);
-                let mut attempt = 0u32;
-                let mut request = new_shape;
-                loop {
-                    match manager.reconfigure_degraded(machine, secure, host, request) {
-                        Ok(stall) => {
-                            shape = request;
-                            slo.record_stall(stall);
-                            now = now.saturating_add(stall);
-                            break;
-                        }
-                        Err(ReconfigError::Cluster(error)) => return Err(error),
-                        Err(_) if attempt < backoff.max_attempts => {
-                            let delay = backoff.delay(attempt);
-                            attempt += 1;
-                            backoff_retries += 1;
-                            slo.record_stall(delay);
-                            now = now.saturating_add(delay);
-                            let healthy = total - manager.quarantined().len();
-                            let healthy_shape =
-                                (healthy.saturating_sub(1) / width * width).max(min_shape);
-                            request = request.min(healthy_shape);
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }
-
-            // Scrub audit: detect dropped purge traffic and replay it to a
-            // clean state before any tenant can observe the residue. The
-            // unaudited discipline skips this — that is exactly the negative
-            // control the fault-window attack pins OPEN.
-            if drop_fault_installed && audited {
-                let recovered = machine.recover_dropped_scrubs();
-                dropped_recovered += recovered;
-                if recovered > 0 {
-                    let cost = recovered.saturating_mul(machine.config().latency.rehome_page);
-                    slo.record_stall(cost);
-                    now = now.saturating_add(cost);
-                }
-            }
+            run.resize()?;
+            run.scrub_audit();
         }
+        Ok(run.finish(arrivals.len()))
+    }
+}
 
-        let mut dropped_unrecovered = 0u64;
-        if drop_fault_installed {
-            if audited {
-                dropped_recovered += machine.recover_dropped_scrubs();
-            }
-            dropped_unrecovered = machine.clear_scrub_drop_fault() as u64;
+/// Retry `n` (0-based) against degraded capacity waits
+/// `BACKOFF_BASE_CYCLES << n` cycles.
+const BACKOFF_BASE_CYCLES: u64 = 2_000;
+/// Retries before a request against degraded capacity gives up.
+const BACKOFF_ATTEMPTS: u32 = 6;
+/// How long a tile failure leaves capacity degraded.
+const REPAIR_CYCLES: u64 = 150_000;
+// An evicted tenant's retries all end inside the repair window, so its
+// re-admission always goes through the admission policy.
+const _: () = assert!(BACKOFF_BASE_CYCLES * ((1 << BACKOFF_ATTEMPTS) - 1) < REPAIR_CYCLES);
+
+/// One storm's state while it runs: the clock, the machine and its secure
+/// cluster, the admitted tenants, the waiting queue and the report tallies.
+struct StormRun<'r> {
+    storm: &'r TenancyStorm<'r>,
+    machine: &'r mut Machine,
+    manager: ClusterManager,
+    kernel: SecureKernel,
+    secure: ProcessId,
+    host: ProcessId,
+    /// The current secure-cluster shape, in cores: always whole mesh rows,
+    /// so every shape keeps its memory-controller attachment points inside
+    /// the cluster (the containment rule `ClusterMap` verifies).
+    shape: usize,
+    /// The largest shape the host reserve leaves room for.
+    max_shape: usize,
+    /// Secure cores tenants may hold: the cores outside the host reserve,
+    /// less one per quarantined tile.
+    capacity: usize,
+    now: u64,
+    active: Vec<Tenant>,
+    queue: VecDeque<Tenant>,
+    /// The next schedule event to fire.
+    fault_cursor: usize,
+    /// Whether the schedule drops scrub packets (a continuous fault,
+    /// installed at set-up).
+    drop_fault: bool,
+    report: StormReport,
+}
+
+impl<'r> StormRun<'r> {
+    /// Recycles the machine and forms the smallest secure cluster, one mesh
+    /// row.
+    fn start(storm: &'r TenancyStorm<'r>, machine: &'r mut Machine) -> Result<Self, ClusterError> {
+        let total = machine.config().cores();
+        let width = machine.config().mesh_width;
+        let reserve = storm.config.host_reserve_cores.max(width);
+        if total <= reserve + width {
+            return Err(ClusterError::EmptyCluster { requested: reserve + width, total });
         }
-
-        Ok(StormReport {
-            arrived: arrivals.len() as u64,
-            admitted,
-            denied,
-            queued: fifo.len() as u64,
-            attested,
-            slo,
-            reconfigurations: manager.reconfigurations(),
-            pages_rehomed: machine.stats().pages_rehomed,
-            final_cycle: now,
-            failed_recovered,
-            faults_injected,
-            quarantined_tiles,
-            backoff_retries,
-            dropped_scrubs_recovered: dropped_recovered,
-            dropped_scrubs_unrecovered: dropped_unrecovered,
+        machine.reset_pristine();
+        let secure = machine.create_process("tenants", SecurityClass::Secure);
+        let host = machine.create_process("host", SecurityClass::Insecure);
+        let (manager, _) = ClusterManager::form(machine, secure, host, width)?;
+        let faults = storm.schedule.config();
+        let drop_fault = faults.kind == FaultKind::DroppedScrub && faults.rate_per_mille > 0;
+        if drop_fault {
+            machine.set_scrub_drop_fault(storm.schedule.seed(), faults.rate_per_mille);
+        }
+        let capacity = total - reserve;
+        Ok(StormRun {
+            storm,
+            machine,
+            manager,
+            kernel: SecureKernel::new(),
+            secure,
+            host,
+            shape: width,
+            max_shape: capacity - capacity % width,
+            capacity,
+            now: 0,
+            active: Vec::new(),
+            queue: VecDeque::new(),
+            fault_cursor: 0,
+            drop_fault,
+            report: StormReport::default(),
         })
     }
 
-    /// Grants the arrival its cores and touches its working set through the
-    /// shared secure process (four pages per granted core, at a
-    /// tenant-unique base), so reconfigurations have real pages to re-home.
-    fn admit(
-        &self,
-        machine: &mut Machine,
-        secure: ironhide_sim::process::ProcessId,
-        arrival: &Arrival,
-        active: &mut Vec<ActiveTenant>,
-    ) {
-        let granted = arrival.demand_cores;
-        let base = (arrival.tenant + 1) << 26;
-        let page = machine.page_bytes();
-        for p in 0..(granted as u64 * 4) {
-            machine.access(NodeId(0), secure, base + p * page, p % 2 == 0);
+    /// Secure cores granted to admitted tenants.
+    fn used(&self) -> usize {
+        self.active.iter().map(|t| t.granted).sum()
+    }
+
+    /// Charges a stall: it freezes every tenant (their service clocks do not
+    /// advance while the machine is stalled), so stalls surface in the
+    /// completion tails.
+    fn stall(&mut self, cycles: u64) {
+        self.report.slo.record_stall(cycles);
+        self.now = self.now.saturating_add(cycles);
+    }
+
+    /// Retry number `attempt` against degraded capacity, charged as a stall.
+    fn retry(&mut self, attempt: u32) {
+        self.report.backoff_retries += 1;
+        self.stall(BACKOFF_BASE_CYCLES << attempt);
+    }
+
+    /// The earliest departure, as (cycle, index into the admitted tenants);
+    /// ties go to the earliest arrival.
+    fn next_departure(&self) -> Option<(u64, usize)> {
+        self.active
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (self.now + t.remaining_units.div_ceil(t.granted as u64), t.tenant, i))
+            .min()
+            .map(|(at, _, i)| (at, i))
+    }
+
+    /// Advances the clock to `at`, serving every admitted tenant on its
+    /// granted cores.
+    fn advance(&mut self, at: u64) {
+        let dt = at - self.now;
+        for t in &mut self.active {
+            t.remaining_units =
+                t.remaining_units.saturating_sub((t.granted as u64).saturating_mul(dt));
         }
-        active.push(ActiveTenant {
+        self.now = at;
+    }
+
+    /// A tenant completes its service and leaves; the cores it frees admit
+    /// queued tenants strictly FIFO.
+    fn depart(&mut self, at: u64, index: usize) {
+        self.advance(at);
+        let done = self.active.remove(index);
+        self.report.slo.record_completion(self.now.saturating_sub(done.arrived_at));
+        while self.queue.front().is_some_and(|t| self.used() + t.granted <= self.capacity) {
+            let tenant = self.queue.pop_front().expect("the queue has a head");
+            self.admit(tenant, true);
+        }
+    }
+
+    /// A tenant arrives: the faults pinned to its arrival index fire first,
+    /// then the secure kernel attests it, then admission control decides.
+    fn arrive(&mut self, at: u64, arrival: &Arrival, index: u64) {
+        self.advance(at);
+        let schedule = self.storm.schedule;
+        while let Some(event) =
+            schedule.events().get(self.fault_cursor).filter(|e| e.at_event <= index)
+        {
+            self.fault_cursor += 1;
+            self.fault(event.target);
+        }
+        // One tenant = one attested allocation: measurement-based
+        // attestation happens before any admission decision.
+        let label = &self.storm.config.profiles[arrival.profile].label;
+        let image = format!("tenant:{}:{label}", arrival.tenant);
+        let pid = ProcessId(1000 + arrival.tenant as usize);
+        self.kernel
+            .attest(pid, image.as_bytes(), AppDomain(arrival.tenant))
+            .expect("tenant attests");
+        self.report.attested += 1;
+        self.request(Tenant {
             tenant: arrival.tenant,
             arrived_at: arrival.at_cycle,
-            granted,
+            granted: arrival.demand_cores,
             remaining_units: arrival.service_units,
+            evicted: false,
         });
+    }
+
+    /// One scheduled fault fires on the tile draw `target`. All fault
+    /// handling is a pure function of the cell seed, so the storm stays
+    /// replayable at any thread count.
+    fn fault(&mut self, target: usize) {
+        self.report.faults_injected += 1;
+        let config = self.machine.config();
+        let (total, width, controllers) = (config.cores(), config.mesh_width, config.controllers);
+        let kind = self.storm.schedule.config().kind;
+        match kind {
+            FaultKind::TileFailure => self.tile_failure(NodeId(target % total), target),
+            FaultKind::LinkDegradation => {
+                let from = target % total;
+                let to = if from % width + 1 < width { from + 1 } else { from.saturating_sub(1) };
+                if from != to {
+                    for (a, b) in [(from, to), (to, from)] {
+                        self.machine
+                            .set_link_fault(NodeId(a), NodeId(b), kind.magnitude())
+                            .expect("neighbouring tiles share a link");
+                    }
+                }
+            }
+            FaultKind::ControllerStall => self
+                .machine
+                .set_controller_fault_stall(target % controllers.max(1), kind.magnitude()),
+            // A continuous fault schedules no events: it is installed at
+            // set-up and audited after every reconfiguration.
+            FaultKind::DroppedScrub => {}
+        }
+    }
+
+    /// A tile dies: it is quarantined, capacity shrinks by one core, and the
+    /// tenant the fault's draw picks is evicted. The audited discipline
+    /// retries against the degraded capacity and then hands the evictee to
+    /// the admission policy; the unaudited one fails open, and the tenant
+    /// vanishes, billed as denied so conservation still holds.
+    fn tile_failure(&mut self, node: NodeId, target: usize) {
+        // A quarantine that would exhaust a cluster is refused and the tile
+        // limps on in service; a tile already in quarantine costs nothing.
+        let stall = match self.manager.quarantine(self.machine, self.secure, self.host, node) {
+            Ok(stall) if stall > 0 => stall,
+            _ => return,
+        };
+        self.report.quarantined_tiles += 1;
+        self.capacity = self.capacity.saturating_sub(1);
+        self.stall(stall);
+        if self.active.is_empty() {
+            return;
+        }
+        let mut victim = self.active.remove(target % self.active.len());
+        if victim.evicted {
+            self.report.failed_recovered -= 1;
+        } else {
+            self.report.admitted -= 1;
+        }
+        victim.evicted = true;
+        if self.storm.arch.audited() {
+            for attempt in 0..BACKOFF_ATTEMPTS {
+                self.retry(attempt);
+            }
+            self.request(victim);
+        } else {
+            self.report.denied += 1;
+        }
+    }
+
+    /// Admission control for a tenant that is not running: an arrival, or an
+    /// evictee. An arrival is tested at no more than the whole capacity but
+    /// granted (or queued at) its full demand; an evictee skips the direct
+    /// fit test and goes straight to the policy.
+    fn request(&mut self, tenant: Tenant) {
+        let demand = if tenant.evicted {
+            tenant.granted
+        } else {
+            let demand = tenant.granted.min(self.capacity);
+            if self.used() + demand <= self.capacity {
+                return self.admit(tenant, true);
+            }
+            demand
+        };
+        match self.storm.policy {
+            AdmissionPolicy::Deny => self.report.denied += 1,
+            AdmissionPolicy::Queue => self.queue.push_back(tenant),
+            AdmissionPolicy::ShrinkNeighbours => {
+                if shrink_neighbours(&mut self.active, demand, self.capacity) {
+                    // An evictee keeps the pages it already touched.
+                    let touch = !tenant.evicted;
+                    self.admit(tenant, touch);
+                } else {
+                    self.report.denied += 1;
+                }
+            }
+        }
+    }
+
+    /// Grants the tenant its cores, counting it in the bucket it enters. With
+    /// `touch`, the tenant touches its working set through the shared secure
+    /// process (four pages per granted core, at a tenant-unique base), so
+    /// reconfigurations have real pages to re-home.
+    fn admit(&mut self, tenant: Tenant, touch: bool) {
+        if tenant.evicted {
+            self.report.failed_recovered += 1;
+        } else {
+            self.report.admitted += 1;
+        }
+        if touch {
+            let base = (tenant.tenant + 1) << 26;
+            let page = self.machine.page_bytes();
+            for p in 0..(tenant.granted as u64 * 4) {
+                self.machine.access(NodeId(0), self.secure, base + p * page, p % 2 == 0);
+            }
+        }
+        self.active.push(tenant);
+    }
+
+    /// Resizes the secure cluster to the row-quantised shape the admitted
+    /// tenants need. A request that degraded capacity refuses is retried,
+    /// shrunk toward what the healthy tiles can host; once the retries run
+    /// out the previous shape stays. With no tile quarantined every storm
+    /// shape fits, so the first attempt succeeds.
+    fn resize(&mut self) -> Result<(), ClusterError> {
+        let (total, width) = (self.machine.config().cores(), self.machine.config().mesh_width);
+        let mut request = (self.used().max(1).div_ceil(width) * width).clamp(width, self.max_shape);
+        if request == self.shape {
+            return Ok(());
+        }
+        for attempt in 0..=BACKOFF_ATTEMPTS {
+            match self.manager.reconfigure_degraded(self.machine, self.secure, self.host, request) {
+                Ok(stall) => {
+                    self.shape = request;
+                    self.stall(stall);
+                    break;
+                }
+                Err(ReconfigError::Cluster(error)) => return Err(error),
+                Err(_) if attempt < BACKOFF_ATTEMPTS => {
+                    self.retry(attempt);
+                    let healthy = total - self.manager.quarantined().len();
+                    request = request.min((healthy.saturating_sub(1) / width * width).max(width));
+                }
+                Err(_) => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// The scrub audit: detects dropped purge traffic and replays it to a
+    /// clean state before any tenant can observe the residue, charging the
+    /// replay as a stall. The unaudited discipline skips it — exactly the
+    /// negative control the fault-window attack pins OPEN.
+    fn scrub_audit(&mut self) {
+        if !self.drop_fault || !self.storm.arch.audited() {
+            return;
+        }
+        let recovered = self.machine.recover_dropped_scrubs();
+        self.report.dropped_scrubs_recovered += recovered;
+        if recovered > 0 {
+            self.stall(recovered.saturating_mul(self.machine.config().latency.rehome_page));
+        }
+    }
+
+    /// Lifts the scrub-drop fault, counting what it left unrecovered, and
+    /// closes the report.
+    fn finish(self, arrived: usize) -> StormReport {
+        let unrecovered = if self.drop_fault { self.machine.clear_scrub_drop_fault() } else { 0 };
+        StormReport {
+            arrived: arrived as u64,
+            queued: self.queue.len() as u64,
+            reconfigurations: self.manager.reconfigurations(),
+            pages_rehomed: self.machine.stats().pages_rehomed,
+            final_cycle: self.now,
+            dropped_scrubs_unrecovered: unrecovered as u64,
+            ..self.report
+        }
     }
 }
 
@@ -787,7 +782,7 @@ impl<'a> TenancyStorm<'a> {
 /// surplus, floor one core each, deterministic remainder in list order) so a
 /// newcomer demanding `demand` cores fits into `capacity`. Returns whether
 /// the shrink succeeded; on failure nothing is modified.
-fn shrink_neighbours(active: &mut [ActiveTenant], demand: usize, capacity: usize) -> bool {
+fn shrink_neighbours(active: &mut [Tenant], demand: usize, capacity: usize) -> bool {
     let used: usize = active.iter().map(|t| t.granted).sum();
     let free = capacity.saturating_sub(used);
     let need = demand.saturating_sub(free);
@@ -1052,9 +1047,9 @@ mod tests {
     #[test]
     fn shrink_takes_proportionally_and_respects_the_floor() {
         let mut active = vec![
-            ActiveTenant { tenant: 0, arrived_at: 0, granted: 9, remaining_units: 1 },
-            ActiveTenant { tenant: 1, arrived_at: 0, granted: 5, remaining_units: 1 },
-            ActiveTenant { tenant: 2, arrived_at: 0, granted: 2, remaining_units: 1 },
+            Tenant { tenant: 0, arrived_at: 0, granted: 9, remaining_units: 1, evicted: false },
+            Tenant { tenant: 1, arrived_at: 0, granted: 5, remaining_units: 1, evicted: false },
+            Tenant { tenant: 2, arrived_at: 0, granted: 2, remaining_units: 1, evicted: false },
         ];
         assert!(shrink_neighbours(&mut active, 6, 16));
         let granted: Vec<usize> = active.iter().map(|t| t.granted).collect();
@@ -1066,6 +1061,71 @@ mod tests {
         assert!(!shrink_neighbours(&mut active, 16, 16));
         let after: Vec<usize> = active.iter().map(|t| t.granted).collect();
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn evictions_wait_out_six_doubling_retries() {
+        let config = test_config();
+        let mut machine = Machine::new(MachineConfig::paper_default());
+        let storm = TenancyStorm::new(&config, AdmissionPolicy::Queue);
+        let mut run = StormRun::start(&storm, &mut machine).expect("storm starts");
+        for attempt in 0..BACKOFF_ATTEMPTS {
+            run.retry(attempt);
+        }
+        let slo = &run.report.slo;
+        assert_eq!((run.now, run.report.backoff_retries), (126_000, 6));
+        assert_eq!((slo.stall_percentile(1, 6), slo.stall_max()), (2_000, 64_000));
+        assert!(run.now < REPAIR_CYCLES);
+
+        // A tile failure evicts the one admitted tenant, charges the six
+        // retries after the quarantine's stall and hands the tenant to the
+        // policy, out of the `admitted` bucket.
+        for policy in AdmissionPolicy::ALL {
+            let storm = TenancyStorm::new(&config, policy);
+            let mut run = StormRun::start(&storm, &mut machine).expect("storm starts");
+            let tenant = Tenant {
+                tenant: 0,
+                arrived_at: 0,
+                granted: 4,
+                remaining_units: 100,
+                evicted: false,
+            };
+            run.admit(tenant, true);
+            run.tile_failure(NodeId(63), 0);
+            let r = &run.report;
+            assert_eq!((r.quarantined_tiles, r.backoff_retries, r.slo.stalls()), (1, 6, 7));
+            assert_eq!(run.now, r.slo.total_stall_cycles());
+            assert!(run.now > 126_000, "{policy}: the quarantine stalled");
+            assert_eq!(r.admitted, 0, "{policy}");
+            let evictee = match policy {
+                AdmissionPolicy::Deny => {
+                    assert_eq!(r.denied, 1);
+                    None
+                }
+                AdmissionPolicy::Queue => run.queue.front(),
+                AdmissionPolicy::ShrinkNeighbours => {
+                    assert_eq!(r.failed_recovered, 1);
+                    run.active.first()
+                }
+            };
+            assert!(evictee.is_none_or(|t| t.evicted), "{policy}: the evictee is marked");
+        }
+    }
+
+    #[test]
+    fn machines_without_room_for_a_secure_row_are_refused() {
+        let config = test_config();
+        for machine_config in [MachineConfig::small_test(), MachineConfig::attack_testbench()] {
+            let total = machine_config.cores();
+            let requested = config.host_reserve_cores + machine_config.mesh_width;
+            let mut machine = Machine::new(machine_config);
+            for policy in AdmissionPolicy::ALL {
+                let error = TenancyStorm::new(&config, policy)
+                    .run(&mut machine, 11)
+                    .expect_err("the machine is too small");
+                assert_eq!(error, ClusterError::EmptyCluster { requested, total });
+            }
+        }
     }
 
     #[test]

@@ -56,8 +56,8 @@ pub mod prelude {
     };
     pub use ironhide_core::cluster::{ClusterManager, PurgeOrder};
     pub use ironhide_core::faults::{
-        BackoffPolicy, FaultArch, FaultCell, FaultCellKey, FaultConfig, FaultEvent, FaultGrid,
-        FaultKind, FaultMatrix, FaultSchedule, FaultSweepError,
+        FaultArch, FaultCell, FaultCellKey, FaultConfig, FaultEvent, FaultGrid, FaultKind,
+        FaultMatrix, FaultSchedule, FaultSweepError,
     };
     pub use ironhide_core::realloc::ReallocPolicy;
     pub use ironhide_core::runner::{CompletionReport, ExperimentRunner};

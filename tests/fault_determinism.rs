@@ -1,12 +1,74 @@
 //! Determinism, conservation and recovery properties of the fault-injection
 //! campaign, on the `faults` bench binary's own smoke grid.
 
+use ironhide::ironhide_core::fnv1a;
 use ironhide::prelude::*;
 use ironhide_bench::experiments::faults;
 use proptest::prelude::*;
 
+/// FNV-1a over ten report fields of every cell of the policy eviction grid
+/// below. Only the sum of `admitted` and `failed_recovered` enters, so the
+/// pin holds whichever of the two buckets an evicted tenant ends in.
+const POLICY_EVICTION_CHECKSUM: u64 = 17828047995170020085;
+
 fn run(threads: usize) -> FaultMatrix {
     faults(true, threads).expect("fault sweep runs")
+}
+
+/// Pins the tile-failure eviction path of every admission policy: the
+/// campaign and perfbench's churn run only Queue under faults, so Deny's
+/// and ShrinkNeighbours' eviction branches are checked here. Each tenant
+/// sits in exactly one conservation bucket, so no bucket can exceed the
+/// arrivals.
+#[test]
+fn every_policy_eviction_path_is_pinned() {
+    let storm = StormConfig {
+        tenants: 120,
+        mean_interarrival_cycles: 30_000,
+        mean_service_scale: 1,
+        host_reserve_cores: 8,
+        profiles: tenant_profiles(&AppId::ALL),
+    };
+    let mut fields = Vec::new();
+    for policy in AdmissionPolicy::ALL {
+        let grid = FaultGrid::new(storm.clone(), policy)
+            .with_kind(FaultKind::TileFailure)
+            .with_rate(200)
+            .with_rate(500)
+            .with_arch(FaultArch::Ironhide)
+            .with_arch(FaultArch::Insecure);
+        let matrix = SweepRunner::new(MachineConfig::paper_default())
+            .with_seed(11)
+            .with_threads(2)
+            .run_faults(&grid)
+            .expect("fault sweep runs");
+        for cell in &matrix.cells {
+            let r = &cell.report;
+            assert!(r.conserves_tenants(), "{policy} [{}] lost tenants", cell.key);
+            for (bucket, count) in [
+                ("admitted", r.admitted),
+                ("denied", r.denied),
+                ("queued", r.queued),
+                ("failed_recovered", r.failed_recovered),
+            ] {
+                assert!(count <= r.arrived, "{policy} [{}]: {bucket} {count} > arrived", cell.key);
+            }
+            fields.extend([
+                r.final_cycle,
+                r.slo.checksum(),
+                r.pages_rehomed,
+                r.reconfigurations,
+                r.denied,
+                r.queued,
+                r.admitted.wrapping_add(r.failed_recovered),
+                r.faults_injected,
+                r.quarantined_tiles,
+                r.backoff_retries,
+            ]);
+        }
+    }
+    let checksum = fnv1a(fields.iter().flat_map(|v| v.to_le_bytes()));
+    assert_eq!(checksum, POLICY_EVICTION_CHECKSUM, "policy eviction checksum moved");
 }
 
 /// The serialised campaign must be byte-identical at 1, 2 and 8 worker
