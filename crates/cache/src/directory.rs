@@ -5,7 +5,7 @@
 //! and that home is the serialisation point for coherence. Each home slice
 //! owns a [`Directory`] — a set-associative array of entries tracking, per
 //! line, the MESI state, the set of cores whose private L1 may hold a copy
-//! (a [`NodeSet`] bitset) and the owning core for the exclusive-side
+//! (reported as a [`NodeSet`]) and the owning core for the exclusive-side
 //! states. The machine consults the home directory on every L1 fill and on
 //! every write-upgrade of a Shared line, and turns the returned
 //! [`DirOutcome`] into cross-core invalidation/downgrade messages charged on
@@ -64,6 +64,8 @@
 use ironhide_mesh::{NodeId, NodeSet};
 
 use crate::config::CacheConfig;
+use crate::replacement::lru_victim;
+use crate::zeroed::{ArrayError, ZeroedArray};
 
 /// Geometry of one home slice's coherence directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,8 +76,9 @@ pub struct DirectoryConfig {
     pub ways: usize,
 }
 
-/// A zero-dimension directory geometry, reported as a value so campaign
-/// harnesses can log the bad configuration instead of aborting mid-sweep.
+/// A directory geometry with a zero dimension, or with more entries than a
+/// `usize` counts, reported as a value so campaign harnesses can log the bad
+/// configuration instead of aborting mid-sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirectoryConfigError {
     /// Requested set count.
@@ -86,11 +89,12 @@ pub struct DirectoryConfigError {
 
 impl std::fmt::Display for DirectoryConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "directory geometry must be non-zero (sets = {}, ways = {})",
-            self.sets, self.ways
-        )
+        let (sets, ways) = (self.sets, self.ways);
+        if sets == 0 || ways == 0 {
+            write!(f, "directory geometry must be non-zero (sets = {sets}, ways = {ways})")
+        } else {
+            write!(f, "directory of {sets} sets x {ways} ways has more entries than fit in memory")
+        }
     }
 }
 
@@ -101,19 +105,26 @@ impl DirectoryConfig {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero; fallible callers use
-    /// [`DirectoryConfig::try_new`].
+    /// Panics if either dimension is zero or their product overflows;
+    /// fallible callers use [`DirectoryConfig::try_new`].
     pub fn new(sets: usize, ways: usize) -> Self {
         DirectoryConfig::try_new(sets, ways).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Creates a directory geometry, reporting a zero dimension as a typed
-    /// [`DirectoryConfigError`] instead of panicking.
+    /// Creates a directory geometry, reporting a zero dimension or an
+    /// entry count beyond `usize` as a typed [`DirectoryConfigError`]
+    /// instead of panicking.
     pub fn try_new(sets: usize, ways: usize) -> Result<Self, DirectoryConfigError> {
-        if sets == 0 || ways == 0 {
+        if sets == 0 || ways == 0 || sets.checked_mul(ways).is_none() {
             return Err(DirectoryConfigError { sets, ways });
         }
         Ok(DirectoryConfig { sets, ways })
+    }
+
+    /// Checks a geometry built field by field (the fields are public), as
+    /// [`DirectoryConfig::try_new`] checks its arguments.
+    pub fn validate(&self) -> Result<(), DirectoryConfigError> {
+        DirectoryConfig::try_new(self.sets, self.ways).map(|_| ())
     }
 
     /// The conventional sizing for a home slice of geometry `l2`: one
@@ -148,13 +159,15 @@ pub enum MesiState {
 }
 
 /// One directory entry: the tracked line, its MESI state, the conservative
-/// sharer set and the owning core for the exclusive-side states.
+/// sharer set of tiles 0–63 and the owning core for the exclusive-side
+/// states — 32 bytes. Tiles 64 and up keep their sharer bits in the
+/// directory's side words (see [`Directory`]).
 #[derive(Debug, Clone, Copy, Default)]
-struct DirEntry {
+pub(crate) struct DirEntry {
     /// Line number (physical address / line size) this entry tracks.
     line: u64,
-    /// Cores whose L1 may hold a copy.
-    sharers: NodeSet,
+    /// Tiles 0–63 whose L1 may hold a copy: bit `t` is tile `t`.
+    sharers: u64,
     /// LRU stamp.
     last_use: u64,
     /// Liveness generation (see [`Directory::purge`]).
@@ -167,6 +180,8 @@ struct DirEntry {
     /// before live victims are evicted).
     valid: bool,
 }
+
+const _: () = assert!(size_of::<DirEntry>() == 32);
 
 /// Counters of one directory's activity (aggregated machine-wide into
 /// `MachineStats` by the simulator).
@@ -240,39 +255,21 @@ pub struct DirOutcome {
     pub shared: bool,
 }
 
-/// Allocates `n` default (all-dead) entries from zeroed memory, the same
-/// lazy-zero-page trick `zeroed_ways` uses for the cache way arrays: a
-/// paper-scale machine carries ~16 MB of directory entries across its 64
-/// slices, and sets that are never filled should never be faulted in.
-fn zeroed_entries(n: usize) -> Vec<DirEntry> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let layout = std::alloc::Layout::array::<DirEntry>(n).expect("entry array layout fits");
-    // SAFETY: `DirEntry` is plain old data — bools, unsigned integers, a
-    // `NodeSet` of four `u64` words and the `repr(u8)` `MesiState` whose
-    // zero discriminant is the valid `Shared` variant — so the all-zero
-    // byte pattern is exactly `DirEntry::default()` and `n` zeroed entries
-    // are fully initialised. The pointer comes from the global allocator
-    // with the layout `Vec` expects for capacity `n`, making
-    // `Vec::from_raw_parts` sound; the `Vec` owns and frees it through the
-    // same allocator.
-    unsafe {
-        let ptr = std::alloc::alloc_zeroed(layout) as *mut DirEntry;
-        if ptr.is_null() {
-            std::alloc::handle_alloc_error(layout);
-        }
-        Vec::from_raw_parts(ptr, n, n)
-    }
-}
-
 /// The coherence directory of one home slice (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Directory {
     config: DirectoryConfig,
     /// All entries of all sets, contiguous: way `w` of set `s` lives at
-    /// `s * config.ways + w`.
-    entries: Vec<DirEntry>,
+    /// `s * config.ways + w`. Zeroed at birth, so sets a run never fills
+    /// are never committed.
+    entries: ZeroedArray<DirEntry>,
+    /// Sharer words of tiles 64 and up, `side_words` per entry: entry `i`
+    /// owns `side[i * side_words..(i + 1) * side_words]`, whose word `k`
+    /// holds tiles `64 (k + 1)` to `64 (k + 1) + 63`. Empty on machines of
+    /// at most 64 tiles.
+    side: ZeroedArray<u64>,
+    /// `⌈tiles / 64⌉ − 1`.
+    side_words: usize,
     /// LRU clock.
     tick: u64,
     /// Current liveness generation (entries of older generations are dead).
@@ -289,17 +286,45 @@ pub struct Directory {
 }
 
 impl Directory {
-    /// Creates an empty directory.
-    pub fn new(config: DirectoryConfig) -> Self {
-        Directory {
-            entries: zeroed_entries(config.entries()),
+    /// Creates an empty directory for a machine of `tiles` tiles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is invalid (see [`DirectoryConfig::try_new`]),
+    /// if `tiles` exceeds [`NodeSet::MAX_NODES`], or if the host cannot
+    /// provide the entry arrays; callers that must survive an oversized
+    /// geometry use [`Directory::try_new`].
+    pub fn new(config: DirectoryConfig, tiles: usize) -> Self {
+        Directory::try_new(config, tiles).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Directory::new`], reporting entry arrays the host cannot provide
+    /// as an [`ArrayError`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is invalid or `tiles` exceeds
+    /// [`NodeSet::MAX_NODES`].
+    pub fn try_new(config: DirectoryConfig, tiles: usize) -> Result<Self, ArrayError> {
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
+        assert!(
+            tiles <= NodeSet::MAX_NODES,
+            "sharer sets track up to {} tiles",
+            NodeSet::MAX_NODES
+        );
+        let entries = config.entries();
+        let side_words = tiles.div_ceil(64).saturating_sub(1);
+        Ok(Directory {
+            entries: ZeroedArray::new(entries)?,
+            side: ZeroedArray::new(entries.saturating_mul(side_words))?,
+            side_words,
             config,
             tick: 0,
             generation: 0,
             live_count: 0,
             stats: DirectoryStats::default(),
             fast_hits: 0,
-        }
+        })
     }
 
     /// The directory geometry.
@@ -333,6 +358,31 @@ impl Directory {
         e.valid && e.generation == self.generation
     }
 
+    /// The slot of the live entry tracking `line`, if any.
+    #[inline]
+    fn find(&self, line: u64) -> Option<usize> {
+        let (lo, hi) = self.set_range(line);
+        self.entries[lo..hi].iter().position(|e| self.live(e) && e.line == line).map(|w| lo + w)
+    }
+
+    /// The sharers of the entry in `slot`: its inline word, then its side
+    /// words, a word at a time.
+    #[inline]
+    fn sharers(&self, slot: usize) -> NodeSet {
+        let side = &self.side[slot * self.side_words..(slot + 1) * self.side_words];
+        NodeSet::from_words(std::iter::once(self.entries[slot].sharers).chain(side.iter().copied()))
+    }
+
+    /// Replaces the sharers of the entry in `slot` with `set`.
+    #[inline]
+    fn set_sharers(&mut self, slot: usize, set: &NodeSet) {
+        self.entries[slot].sharers = set.word(0);
+        let side = &mut self.side[slot * self.side_words..(slot + 1) * self.side_words];
+        for (k, w) in side.iter_mut().enumerate() {
+            *w = set.word(k + 1);
+        }
+    }
+
     /// Performs one directory transaction for `core`'s access to `line`
     /// (`write` selects the invalidating transitions), updating the entry
     /// and returning the copy-set actions the machine must charge. Called
@@ -350,29 +400,26 @@ impl Directory {
         self.stats.lookups += 1;
         let tick = self.tick;
         let generation = self.generation;
-        let (lo, hi) = self.set_range(line);
         let mut outcome = DirOutcome {
             invalidate: NodeSet::default(),
             downgrade: NodeSet::default(),
             evicted: None,
             shared: false,
         };
-        if let Some((way, e)) = self.entries[lo..hi]
-            .iter_mut()
-            .enumerate()
-            .find(|(_, e)| e.valid && e.generation == generation && e.line == line)
-        {
+        if let Some(slot) = self.find(line) {
             self.stats.hits += 1;
+            let mut sharers = self.sharers(slot);
+            let e = &mut self.entries[slot];
             e.last_use = tick;
             if write {
                 // Write (fill or upgrade): every other tracked copy dies
                 // before the write completes; the line is Modified, owned
                 // by the requester.
-                let mut others = e.sharers;
+                let mut others = sharers;
                 others.remove(core);
                 outcome.invalidate = others;
-                e.sharers.clear();
-                e.sharers.insert(core);
+                sharers.clear();
+                sharers.insert(core);
                 e.owner = core.0 as u16;
                 e.state = MesiState::Modified;
                 self.stats.invalidations += others.len() as u64;
@@ -385,8 +432,8 @@ impl Directory {
                     outcome.downgrade.insert(owner);
                     self.stats.downgrades += 1;
                 }
-                e.sharers.insert(core);
-                if e.sharers.len() == 1 {
+                sharers.insert(core);
+                if sharers.len() == 1 {
                     // The requester is the only tracked copy: (re-)grant
                     // exclusivity. This also covers a core re-fetching a
                     // line it silently evicted while owning it.
@@ -399,45 +446,42 @@ impl Directory {
                     outcome.shared = true;
                 }
             }
-            return (outcome, (lo + way) as u32);
+            self.set_sharers(slot, &sharers);
+            return (outcome, slot as u32);
         }
 
         // Allocate: dead entry first, else the LRU victim of the set — whose
         // tracked copies must all be back-invalidated, because a line
         // without a directory entry cannot be kept coherent.
+        let (lo, hi) = self.set_range(line);
         let set = &self.entries[lo..hi];
-        let victim_idx = match set.iter().position(|e| !(e.valid && e.generation == generation)) {
-            Some(i) => i,
-            None => {
-                let mut best = 0;
-                for (i, e) in set.iter().enumerate() {
-                    if e.last_use < set[best].last_use {
-                        best = i;
-                    }
-                }
-                best
-            }
-        };
-        let victim = self.entries[lo + victim_idx];
+        let slot = lo
+            + match set.iter().position(|e| !(e.valid && e.generation == generation)) {
+                Some(i) => i,
+                None => lru_victim(set, |e| e.last_use),
+            };
+        let victim = self.entries[slot];
         if victim.valid && victim.generation == generation {
-            outcome.evicted = Some(EvictedEntry { line: victim.line, sharers: victim.sharers });
-            self.stats.back_invalidations += victim.sharers.len() as u64;
+            let sharers = self.sharers(slot);
+            outcome.evicted = Some(EvictedEntry { line: victim.line, sharers });
+            self.stats.back_invalidations += sharers.len() as u64;
         } else {
             self.live_count += 1;
         }
         self.stats.allocations += 1;
-        let mut sharers = NodeSet::default();
-        sharers.insert(core);
-        self.entries[lo + victim_idx] = DirEntry {
+        self.entries[slot] = DirEntry {
             line,
-            sharers,
+            sharers: 0,
             last_use: tick,
             generation,
             owner: core.0 as u16,
             state: if write { MesiState::Modified } else { MesiState::Exclusive },
             valid: true,
         };
-        (outcome, (lo + victim_idx) as u32)
+        let mut sharers = NodeSet::default();
+        sharers.insert(core);
+        self.set_sharers(slot, &sharers);
+        (outcome, slot as u32)
     }
 
     /// Attempts the private-line fast path for `core`'s access to `line`
@@ -453,20 +497,17 @@ impl Directory {
     /// the hint was stale — the probe mutates nothing (not even the LRU
     /// clock or counters) and the caller runs the full transaction.
     pub fn access_private_fast(&mut self, line: u64, core: NodeId, write: bool, slot: u32) -> bool {
-        let generation = self.generation;
-        let tick = self.tick + 1;
-        let e = match self.entries.get_mut(slot as usize) {
-            Some(e)
-                if e.valid
-                    && e.generation == generation
-                    && e.line == line
-                    && e.sharers.len() == 1
-                    && e.sharers.contains(core) =>
-            {
-                e
-            }
+        let slot = slot as usize;
+        match self.entries.get(slot) {
+            Some(e) if self.live(e) && e.line == line => {}
             _ => return false,
-        };
+        }
+        let sharers = self.sharers(slot);
+        if sharers.len() != 1 || !sharers.contains(core) {
+            return false;
+        }
+        let tick = self.tick + 1;
+        let e = &mut self.entries[slot];
         e.last_use = tick;
         e.owner = core.0 as u16;
         if write {
@@ -493,14 +534,9 @@ impl Directory {
     /// during a stalled reconfiguration). Returns whether an entry was
     /// dropped.
     pub fn drop_line(&mut self, line: u64) -> bool {
-        let generation = self.generation;
-        let (lo, hi) = self.set_range(line);
-        match self.entries[lo..hi]
-            .iter_mut()
-            .find(|e| e.valid && e.generation == generation && e.line == line)
-        {
-            Some(e) => {
-                e.valid = false;
+        match self.find(line) {
+            Some(slot) => {
+                self.entries[slot].valid = false;
                 self.live_count -= 1;
                 self.stats.flushed_entries += 1;
                 true
@@ -524,15 +560,10 @@ impl Directory {
         if self.live_count == 0 {
             return (union, 0);
         }
-        let generation = self.generation;
         for line in base_line..base_line + count {
-            let (lo, hi) = self.set_range(line);
-            if let Some(e) = self.entries[lo..hi]
-                .iter_mut()
-                .find(|e| e.valid && e.generation == generation && e.line == line)
-            {
-                union.union_with(&e.sharers);
-                e.valid = false;
+            if let Some(slot) = self.find(line) {
+                union.union_with(&self.sharers(slot));
+                self.entries[slot].valid = false;
                 self.live_count -= 1;
                 dropped += 1;
             }
@@ -544,19 +575,18 @@ impl Directory {
     /// The live entry for `line`, as `(state, sharers, owner)`, without
     /// disturbing any state. Observability for invariant checks and tests.
     pub fn probe(&self, line: u64) -> Option<(MesiState, NodeSet, NodeId)> {
-        let (lo, hi) = self.set_range(line);
-        self.entries[lo..hi]
-            .iter()
-            .find(|e| self.live(e) && e.line == line)
-            .map(|e| (e.state, e.sharers, NodeId(e.owner as usize)))
+        self.find(line).map(|slot| {
+            let e = &self.entries[slot];
+            (e.state, self.sharers(slot), NodeId(e.owner as usize))
+        })
     }
 
     /// Visits every live entry as `(line, state, sharers, owner)`, in array
     /// order. Observability for invariant checks and tests.
     pub fn for_each_live(&self, mut f: impl FnMut(u64, MesiState, NodeSet, NodeId)) {
-        for e in &self.entries {
+        for (slot, e) in self.entries.iter().enumerate() {
             if self.live(e) {
-                f(e.line, e.state, e.sharers, NodeId(e.owner as usize));
+                f(e.line, e.state, self.sharers(slot), NodeId(e.owner as usize));
             }
         }
     }
@@ -579,6 +609,7 @@ impl Directory {
     fn bump_generation(&mut self) {
         if self.generation == u32::MAX {
             self.entries.fill(DirEntry::default());
+            self.side.fill(0);
             self.generation = 0;
         } else {
             self.generation += 1;
@@ -602,8 +633,8 @@ mod tests {
     use super::*;
 
     fn dir() -> Directory {
-        // 4 sets × 2 ways = 8 entries.
-        Directory::new(DirectoryConfig::new(4, 2))
+        // 4 sets × 2 ways = 8 entries, for a 4-tile machine.
+        Directory::new(DirectoryConfig::new(4, 2), 4)
     }
 
     #[test]
@@ -719,6 +750,9 @@ mod tests {
         assert_eq!(err, DirectoryConfigError { sets: 0, ways: 2 });
         assert!(format!("{err}").contains("must be non-zero"));
         assert!(DirectoryConfig::try_new(4, 0).is_err());
+        let err = DirectoryConfig::try_new(1 << 63, 4).unwrap_err();
+        assert!(format!("{err}").contains("more entries than fit"));
+        assert_eq!(DirectoryConfig { sets: 1 << 63, ways: 4 }.validate(), Err(err));
     }
 
     #[test]
@@ -739,12 +773,45 @@ mod tests {
 
     #[test]
     fn zeroed_entries_are_default() {
-        let d = Directory::new(DirectoryConfig::new(2, 2));
+        let d = Directory::new(DirectoryConfig::new(2, 2), 200);
         assert_eq!(d.resident_entries(), 0);
-        for e in &d.entries {
+        for e in d.entries.iter() {
             assert!(!e.valid);
             assert_eq!(e.state, MesiState::Shared);
-            assert!(e.sharers.is_empty());
+            assert_eq!(e.sharers, 0);
         }
+        assert_eq!(d.side.len(), 4 * 3, "200 tiles need three side words per entry");
+        assert!(d.side.iter().all(|w| *w == 0));
+        assert!(dir().side.is_empty(), "machines of at most 64 tiles have no side words");
+    }
+
+    fn set_of(tiles: &[usize]) -> NodeSet {
+        tiles.iter().map(|t| NodeId(*t)).collect()
+    }
+
+    #[test]
+    fn sharers_beyond_tile_63_are_exact() {
+        let mut d = Directory::new(DirectoryConfig::new(4, 2), 81);
+        d.access(7, NodeId(3), false);
+        d.access(7, NodeId(70), false);
+        let out = d.access(7, NodeId(80), true);
+        assert_eq!(out.invalidate, set_of(&[3, 70]));
+        assert_eq!(d.probe(7), Some((MesiState::Modified, set_of(&[80]), NodeId(80))));
+
+        // Lines 0, 4 and 8 share set 0 of the 2-way directory: the third
+        // allocation evicts line 0's entry with both of its sharers.
+        d.access(0, NodeId(3), false);
+        d.access(0, NodeId(70), false);
+        d.access(4, NodeId(5), false);
+        let (out, slot) = d.access_locate(8, NodeId(80), false);
+        let ev = out.evicted.expect("full set must evict");
+        assert_eq!(ev, EvictedEntry { line: 0, sharers: set_of(&[3, 70]) });
+        assert_eq!(d.stats().back_invalidations, 2);
+        // The reused slot keeps no stale side bits, and the fast path tells
+        // tile 80 from tile 16, which shares its bit position in word 0.
+        assert_eq!(d.probe(8).map(|p| p.1), Some(set_of(&[80])));
+        assert!(!d.access_private_fast(8, NodeId(16), false, slot));
+        assert!(d.access_private_fast(8, NodeId(80), true, slot));
+        assert_eq!(d.probe(8).map(|p| p.0), Some(MesiState::Modified));
     }
 }

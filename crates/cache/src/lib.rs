@@ -47,10 +47,11 @@
 pub mod config;
 pub mod directory;
 pub mod homing;
-pub mod replacement;
+mod replacement;
 pub mod set_assoc;
 pub mod stats;
 pub mod tlb;
+mod zeroed;
 
 pub use config::{CacheConfig, TlbConfig};
 pub use directory::{
@@ -58,7 +59,7 @@ pub use directory::{
     MesiState,
 };
 pub use homing::{HomeMap, HomePolicy, PageId, SliceId};
-pub use replacement::ReplacementPolicy;
 pub use set_assoc::{AccessOutcome, Evicted, SetAssocCache, Way};
 pub use stats::CacheStats;
 pub use tlb::Tlb;
+pub use zeroed::ArrayError;

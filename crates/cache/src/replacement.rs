@@ -1,50 +1,18 @@
-//! Replacement policies for set-associative structures.
+//! Victim selection for full sets, shared by the caches and the coherence
+//! directory: both replace their least recently used entry.
 
-use crate::set_assoc::Way;
-
-/// Replacement policy used when a set is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ReplacementPolicy {
-    /// Evict the least recently used way (the Tile-Gx caches are LRU-like).
-    #[default]
-    Lru,
-    /// Evict the way that was filled first.
-    Fifo,
-    /// Evict a pseudo-random way (a simple xorshift over an internal counter,
-    /// so the simulation stays deterministic).
-    Random,
-}
-
-impl ReplacementPolicy {
-    /// Picks the victim way directly from the set's way metadata (`last_use`
-    /// access stamps for LRU, `filled_at` fill stamps for FIFO). `tick` is a
-    /// deterministic seed for `Random`. Operating on the ways in place keeps
-    /// victim selection allocation-free on the miss path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ways` is empty.
-    pub fn victim(self, ways: &[Way], tick: u64) -> usize {
-        assert!(!ways.is_empty(), "victim selection requires at least one way");
-        match self {
-            ReplacementPolicy::Lru => index_of_min_by(ways, |w| w.last_use),
-            ReplacementPolicy::Fifo => index_of_min_by(ways, |w| w.filled_at),
-            ReplacementPolicy::Random => {
-                let mut x = tick.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-                x ^= x >> 33;
-                x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-                x ^= x >> 29;
-                (x as usize) % ways.len()
-            }
-        }
-    }
-}
-
-/// Index of the way minimising `key`, preferring the first on ties.
-fn index_of_min_by(ways: &[Way], key: impl Fn(&Way) -> u64) -> usize {
+/// Index of the least recently used entry of a full `set` — the smallest
+/// `last_use` stamp, the first of them on ties. Reads the stamps in place,
+/// so the miss path stays allocation-free.
+///
+/// # Panics
+///
+/// Panics if `set` is empty.
+pub(crate) fn lru_victim<T>(set: &[T], last_use: impl Fn(&T) -> u64) -> usize {
+    assert!(!set.is_empty(), "victim selection requires at least one way");
     let mut best = 0;
-    for (i, w) in ways.iter().enumerate() {
-        if key(w) < key(&ways[best]) {
+    for (i, e) in set.iter().enumerate() {
+        if last_use(e) < last_use(&set[best]) {
             best = i;
         }
     }
@@ -54,44 +22,30 @@ fn index_of_min_by(ways: &[Way], key: impl Fn(&Way) -> u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::set_assoc::Way;
 
-    /// Builds a set of valid ways with the given recency/fill stamps.
-    fn ways(last_use: &[u64], filled_at: &[u64]) -> Vec<Way> {
-        last_use.iter().zip(filled_at).map(|(lu, fa)| Way::stamped(*lu, *fa)).collect()
+    /// Builds a set of valid ways with the given recency stamps.
+    fn ways(last_use: &[u64]) -> Vec<Way> {
+        last_use.iter().map(|lu| Way::stamped(*lu)).collect()
+    }
+
+    fn victim(set: &[Way]) -> usize {
+        lru_victim(set, Way::last_use)
     }
 
     #[test]
     fn lru_picks_least_recent() {
-        let set = ways(&[10, 3, 7, 9], &[0, 1, 2, 3]);
-        assert_eq!(ReplacementPolicy::Lru.victim(&set, 0), 1);
-    }
-
-    #[test]
-    fn fifo_picks_oldest_fill() {
-        let set = ways(&[10, 3, 7, 9], &[5, 6, 1, 3]);
-        assert_eq!(ReplacementPolicy::Fifo.victim(&set, 0), 2);
-    }
-
-    #[test]
-    fn random_is_deterministic_and_in_range() {
-        let set = ways(&[0; 8], &[0; 8]);
-        let a = ReplacementPolicy::Random.victim(&set, 42);
-        let b = ReplacementPolicy::Random.victim(&set, 42);
-        assert_eq!(a, b);
-        assert!(a < 8);
-        let c = ReplacementPolicy::Random.victim(&set, 43);
-        assert!(c < 8);
+        assert_eq!(victim(&ways(&[10, 3, 7, 9])), 1);
     }
 
     #[test]
     fn min_index_prefers_first_on_tie() {
-        let set = ways(&[2, 2, 2], &[0, 0, 0]);
-        assert_eq!(ReplacementPolicy::Lru.victim(&set, 0), 0);
+        assert_eq!(victim(&ways(&[2, 2, 2])), 0);
     }
 
     #[test]
     #[should_panic(expected = "at least one way")]
     fn empty_set_rejected() {
-        ReplacementPolicy::Lru.victim(&[], 0);
+        victim(&[]);
     }
 }

@@ -1,13 +1,15 @@
-//! A functional set-associative cache with configurable replacement.
+//! A functional set-associative cache with LRU replacement.
 //!
-//! Storage is a single contiguous `Vec<Way>` indexed by `set * ways + way`
-//! (no per-set inner vectors), set/tag extraction uses shift/mask when the
-//! geometry is a power of two, and victim selection reads the way metadata in
-//! place — so a steady-state access performs **zero heap allocations**.
+//! Storage is a single contiguous array of 24-byte [`Way`]s indexed by
+//! `set * ways + way` (no per-set inner vectors), set/tag extraction uses
+//! shift/mask when the geometry is a power of two, and LRU victim selection
+//! reads the way metadata in place — so a steady-state access performs
+//! **zero heap allocations**.
 
 use crate::config::CacheConfig;
-use crate::replacement::ReplacementPolicy;
+use crate::replacement::lru_victim;
 use crate::stats::CacheStats;
+use crate::zeroed::{ArrayError, ZeroedArray};
 
 /// A line evicted by a fill or flush.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,10 +52,10 @@ impl AccessOutcome {
     }
 }
 
-/// Metadata of one way of a set: validity, dirtiness, the tag, and the
-/// recency/fill stamps the replacement policies read. Exposed so
-/// [`ReplacementPolicy::victim`] can select a victim directly from the set's
-/// slice without the cache copying stamps into temporaries.
+/// Metadata of one way of a set: validity, dirtiness, MESI sharing, the
+/// liveness generation, the tag and the LRU recency stamp — 24 bytes, so a
+/// paper-scale machine's 294,912 ways (64 tiles × (512 L1 + 4,096 L2))
+/// take 7.08 MB.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Way {
     pub(crate) valid: bool,
@@ -71,12 +73,13 @@ pub struct Way {
     /// generation matches the cache's. Bumping the cache generation
     /// therefore invalidates every line in O(1) — the purge operation —
     /// without touching the way array. Packs into the padding after the
-    /// flags, so `Way` stays 32 bytes.
+    /// flags.
     pub(crate) generation: u32,
     pub(crate) tag: u64,
     pub(crate) last_use: u64,
-    pub(crate) filled_at: u64,
 }
+
+const _: () = assert!(size_of::<Way>() == 24);
 
 impl Way {
     /// The line's tag.
@@ -89,44 +92,10 @@ impl Way {
         self.last_use
     }
 
-    /// Monotonic stamp of the fill (FIFO input).
-    pub fn filled_at(&self) -> u64 {
-        self.filled_at
-    }
-
-    /// A valid way with the given recency/fill stamps (for policy tests).
+    /// A valid way with the given recency stamp (for victim tests).
     #[cfg(test)]
-    pub(crate) fn stamped(last_use: u64, filled_at: u64) -> Self {
-        Way { valid: true, dirty: false, shared: false, generation: 0, tag: 0, last_use, filled_at }
-    }
-}
-
-/// Allocates `n` default (all-invalid) ways from zeroed memory.
-///
-/// `vec![Way::default(); n]` writes every byte eagerly, faulting in the whole
-/// allocation; for a paper-scale machine that is ~12 MB of `Way` arrays per
-/// simulated machine, and sweeps build thousands of scratch machines (one per
-/// cell plus one per re-allocation predictor probe). Requesting *zeroed*
-/// memory instead lets the allocator hand back untouched copy-on-write zero
-/// pages, so sets that are never filled are never faulted in.
-fn zeroed_ways(n: usize) -> Vec<Way> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let layout = std::alloc::Layout::array::<Way>(n).expect("way array layout fits in memory");
-    // SAFETY: `Way` is a plain-old-data struct of bools and unsigned integers
-    // whose all-zero byte pattern is exactly `Way::default()` (`false` is 0,
-    // every counter starts at 0), so `n` zeroed `Way`s are fully initialised.
-    // The pointer comes from the global allocator with the same layout
-    // `Vec` expects for a `Vec<Way>` of capacity `n`, which makes
-    // `Vec::from_raw_parts` sound; the `Vec` takes ownership and frees it
-    // through the same allocator.
-    unsafe {
-        let ptr = std::alloc::alloc_zeroed(layout) as *mut Way;
-        if ptr.is_null() {
-            std::alloc::handle_alloc_error(layout);
-        }
-        Vec::from_raw_parts(ptr, n, n)
+    pub(crate) fn stamped(last_use: u64) -> Self {
+        Way { valid: true, dirty: false, shared: false, generation: 0, tag: 0, last_use }
     }
 }
 
@@ -149,10 +118,10 @@ enum IndexScheme {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    policy: ReplacementPolicy,
     /// All ways of all sets, contiguous: way `w` of set `s` lives at
-    /// `s * config.ways + w`.
-    ways: Vec<Way>,
+    /// `s * config.ways + w`. Zeroed at birth, so sets a run never fills
+    /// are never committed.
+    ways: ZeroedArray<Way>,
     scheme: IndexScheme,
     tick: u64,
     stats: CacheStats,
@@ -168,12 +137,18 @@ pub struct SetAssocCache {
 
 impl SetAssocCache {
     /// Creates an empty cache with LRU replacement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host cannot provide the way array; callers that must
+    /// survive an oversized geometry use [`SetAssocCache::try_new`].
     pub fn new(config: CacheConfig) -> Self {
-        SetAssocCache::with_policy(config, ReplacementPolicy::Lru)
+        SetAssocCache::try_new(config).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Creates an empty cache with the given replacement policy.
-    pub fn with_policy(config: CacheConfig, policy: ReplacementPolicy) -> Self {
+    /// Creates an empty cache with LRU replacement, reporting a way array
+    /// the host cannot provide as an [`ArrayError`].
+    pub fn try_new(config: CacheConfig) -> Result<Self, ArrayError> {
         let sets = config.sets();
         let scheme = if config.line_bytes.is_power_of_two() && sets.is_power_of_two() {
             IndexScheme::Pow2 {
@@ -184,17 +159,16 @@ impl SetAssocCache {
         } else {
             IndexScheme::Generic { line_bytes: config.line_bytes as u64, sets: sets as u64 }
         };
-        SetAssocCache {
+        Ok(SetAssocCache {
             config,
-            policy,
-            ways: zeroed_ways(sets * config.ways),
+            ways: ZeroedArray::new(sets * config.ways)?,
             scheme,
             tick: 0,
             stats: CacheStats::new(),
             valid_count: 0,
             dirty_count: 0,
             generation: 0,
-        }
+        })
     }
 
     /// The cache geometry.
@@ -296,7 +270,6 @@ impl SetAssocCache {
     #[inline]
     fn access_at(&mut self, index: usize, tag: u64, write: bool) -> (AccessOutcome, bool) {
         let assoc = self.config.ways;
-        let policy = self.policy;
         let tick = self.tick;
         let generation = self.generation;
         let base = index * assoc;
@@ -312,11 +285,11 @@ impl SetAssocCache {
             }
             return (AccessOutcome::Hit, was_shared);
         }
-        // Fill: find a dead way, otherwise evict a victim chosen directly
-        // from the way metadata (no temporary stamp vectors).
+        // Fill: find a dead way, otherwise evict the LRU way, chosen
+        // directly from the way metadata (no temporary stamp vectors).
         let victim_idx = match set.iter().position(|w| !(w.valid && w.generation == generation)) {
             Some(i) => i,
-            None => policy.victim(set, tick),
+            None => lru_victim(set, Way::last_use),
         };
         let victim = set[victim_idx];
         let evicted = if victim.valid && victim.generation == generation {
@@ -334,15 +307,8 @@ impl SetAssocCache {
         // Fills start in the exclusive-side states (Modified for writes,
         // Exclusive for reads); the directory layer flips the line to Shared
         // afterwards when other caches hold it.
-        self.ways[base + victim_idx] = Way {
-            valid: true,
-            dirty: write,
-            shared: false,
-            generation,
-            tag,
-            last_use: tick,
-            filled_at: tick,
-        };
+        self.ways[base + victim_idx] =
+            Way { valid: true, dirty: write, shared: false, generation, tag, last_use: tick };
         (AccessOutcome::Miss { evicted }, false)
     }
 
@@ -621,7 +587,7 @@ impl SetAssocCache {
 
     /// Resets the cache to its just-constructed state — empty, statistics
     /// zeroed, recency clock at zero — in O(1), so scratch machines can be
-    /// recycled instead of re-allocating their ~160 KB way arrays. Behaves
+    /// recycled instead of re-allocating their way arrays. Behaves
     /// identically to a freshly built cache in every observable way
     /// (verified by the golden-stats and sweep byte-identity suites).
     pub fn reset_pristine(&mut self) {
@@ -758,17 +724,6 @@ mod tests {
         // With a cyclic working set of twice the capacity under LRU, every
         // access misses after the first round too.
         assert!(c.stats().miss_rate() > 0.9);
-    }
-
-    #[test]
-    fn fifo_policy_differs_from_lru() {
-        let mut c =
-            SetAssocCache::with_policy(CacheConfig::new(512, 2, 64), ReplacementPolicy::Fifo);
-        c.access(0x000, false);
-        c.access(0x100, false);
-        c.access(0x000, false); // does not matter for FIFO
-        let ev = c.access(0x200, false).evicted().unwrap();
-        assert_eq!(ev.addr, 0x000, "FIFO evicts the first-filled way");
     }
 
     /// Walks the way array to recount occupancy (honouring the liveness

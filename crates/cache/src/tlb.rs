@@ -2,6 +2,7 @@
 
 use crate::config::TlbConfig;
 use crate::stats::CacheStats;
+use crate::zeroed::ArrayError;
 
 /// A private, fully-associative TLB with LRU replacement.
 ///
@@ -18,13 +19,23 @@ pub struct Tlb {
 
 impl Tlb {
     /// Creates an empty TLB.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host cannot provide the entry array; callers that must
+    /// survive an oversized geometry use [`Tlb::try_new`].
     pub fn new(config: TlbConfig) -> Self {
-        Tlb {
-            config,
-            entries: Vec::with_capacity(config.entries),
-            tick: 0,
-            stats: CacheStats::new(),
-        }
+        Tlb::try_new(config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates an empty TLB, reporting an entry array the host cannot
+    /// provide as an [`ArrayError`].
+    pub fn try_new(config: TlbConfig) -> Result<Self, ArrayError> {
+        let mut entries = Vec::new();
+        entries
+            .try_reserve_exact(config.entries)
+            .map_err(|_| ArrayError { len: config.entries, elem_bytes: size_of::<(u64, u64)>() })?;
+        Ok(Tlb { config, entries, tick: 0, stats: CacheStats::new() })
     }
 
     /// The TLB geometry.

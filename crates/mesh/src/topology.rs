@@ -251,9 +251,11 @@ impl Default for MeshTopology {
 /// The storage is four inline words (up to [`NodeSet::MAX_NODES`] nodes — an
 /// order of magnitude above the paper's 64-tile machine), so the set is
 /// `Copy` and never touches the heap. That matters beyond convenience: the
-/// coherence directory in `ironhide-cache` embeds one `NodeSet` of sharers
-/// in every directory entry, and directory transactions sit on the L1-miss
-/// path, which must stay allocation-free (see `tests/zero_alloc.rs`).
+/// coherence directory in `ironhide-cache` returns the sharers of its
+/// entries as `NodeSet`s, built a word at a time from the entry's own word
+/// and its side words ([`NodeSet::from_words`]), and directory transactions
+/// sit on the L1-miss path, which must stay allocation-free (see
+/// `tests/zero_alloc.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeSet {
     bits: [u64; Self::WORDS],
@@ -273,6 +275,30 @@ impl NodeSet {
     pub fn with_capacity(nodes: usize) -> Self {
         assert!(nodes <= Self::MAX_NODES, "NodeSet supports up to {} nodes", Self::MAX_NODES);
         NodeSet::default()
+    }
+
+    /// The set whose members are the set bits of `words`: bit `b` of word
+    /// `i` is node `64 i + b`. Builds the set a word at a time, with no loop
+    /// over members.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` yields more than `MAX_NODES / 64` words.
+    #[inline]
+    pub fn from_words(words: impl IntoIterator<Item = u64>) -> Self {
+        let mut set = NodeSet::default();
+        for (i, w) in words.into_iter().enumerate() {
+            assert!(i < Self::WORDS, "NodeSet supports up to {} nodes", Self::MAX_NODES);
+            set.bits[i] = w;
+        }
+        set
+    }
+
+    /// Word `i` of the membership mask: bit `b` is node `64 i + b`. Zero
+    /// for words beyond [`NodeSet::MAX_NODES`].
+    #[inline]
+    pub fn word(&self, i: usize) -> u64 {
+        self.bits.get(i).copied().unwrap_or(0)
     }
 
     /// Inserts `node`. Returns whether the node was newly inserted.
@@ -474,6 +500,22 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_dimension_panics() {
         MeshTopology::new(0, 4);
+    }
+
+    #[test]
+    fn node_set_words_round_trip() {
+        let set: NodeSet = [NodeId(1), NodeId(64), NodeId(200)].into_iter().collect();
+        let words: Vec<u64> = (0..4).map(|i| set.word(i)).collect();
+        assert_eq!(words, [1 << 1, 1, 0, 1 << 8]);
+        assert_eq!(NodeSet::from_words(words), set);
+        assert_eq!(NodeSet::from_words([1 << 5]), [NodeId(5)].into_iter().collect());
+        assert_eq!(set.word(4), 0, "words beyond the storage are empty");
+    }
+
+    #[test]
+    #[should_panic(expected = "up to 256 nodes")]
+    fn node_set_from_too_many_words_panics() {
+        NodeSet::from_words([0; 5]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Machine configuration.
 
 use crate::fence::TemporalFenceConfig;
-use ironhide_cache::{CacheConfig, DirectoryConfig, TlbConfig};
+use ironhide_cache::{ArrayError, CacheConfig, DirectoryConfig, DirectoryConfigError, TlbConfig};
 use ironhide_mem::{ControllerMask, DramConfig};
 use ironhide_mesh::NocLatencyConfig;
 
@@ -47,6 +47,18 @@ pub enum ConfigError {
         /// The line size the page does not divide into.
         line_bytes: usize,
     },
+    /// A directory geometry with a zero dimension or an entry count beyond
+    /// `usize`.
+    Directory(DirectoryConfigError),
+    /// A structure whose array the host would not provide: the geometry
+    /// asks for more memory than can be allocated or mapped.
+    Unallocatable {
+        /// The config field naming the structure (`"l1"`, `"tlb"`,
+        /// `"l2_slice"` or `"directory"`).
+        structure: &'static str,
+        /// The refused array.
+        array: ArrayError,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -70,6 +82,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::EmptyTlb => write!(f, "TLB must have entries and non-zero pages"),
             ConfigError::PageSplitsLines { page_bytes, line_bytes } => {
                 write!(f, "{page_bytes}-byte pages do not hold whole {line_bytes}-byte lines")
+            }
+            ConfigError::Directory(e) => write!(f, "{e}"),
+            ConfigError::Unallocatable { structure, array } => {
+                write!(f, "{structure}: {array}")
             }
         }
     }
@@ -228,8 +244,10 @@ impl MachineConfig {
 
     /// Validates internal consistency, reporting the first inconsistency
     /// found (zero cores, zero controllers, a non-positive clock, an empty
-    /// cache or TLB, pages that split cache lines, …) as a typed
-    /// [`ConfigError`].
+    /// cache, TLB or directory, pages that split cache lines, …) as a typed
+    /// [`ConfigError`]. Whether the host can hold the machine's arrays is
+    /// known only once they are built: [`crate::Machine::try_new`] reports
+    /// that.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cores() == 0 {
             return Err(ConfigError::ZeroCores);
@@ -261,6 +279,7 @@ impl MachineConfig {
                 return Err(ConfigError::EmptyCache { cache });
             }
         }
+        self.directory.validate().map_err(ConfigError::Directory)?;
         if self.tlb.entries == 0 || self.tlb.page_bytes == 0 {
             return Err(ConfigError::EmptyTlb);
         }
@@ -370,6 +389,38 @@ mod tests {
             assert!(!want.to_string().is_empty());
         }
         broken(|c| c.controllers = 32).validate().expect("a full controller mask is valid");
+    }
+
+    #[test]
+    fn directory_and_array_geometry_reported_as_typed_errors() {
+        let with_directory = |sets, ways| {
+            let mut c = MachineConfig::small_test();
+            c.directory = DirectoryConfig { sets, ways };
+            c
+        };
+        for (sets, ways) in [(0, 4), (4, 0), (1 << 63, 4)] {
+            let want = ConfigError::Directory(DirectoryConfigError { sets, ways });
+            assert_eq!(with_directory(sets, ways).validate(), Err(want), "{sets} x {ways}");
+            let got = crate::Machine::try_new(with_directory(sets, ways)).err();
+            assert_eq!(got, Some(want), "{sets} x {ways}");
+        }
+
+        // Valid on paper, but 2^56 lines per slice is no array any host
+        // holds: the machine reports it instead of aborting.
+        let mut c = MachineConfig::small_test();
+        c.l2_slice.size_bytes = 1 << 62;
+        c.validate().expect("the geometry itself is consistent");
+        let err = crate::Machine::try_new(c).map(|_| ()).expect_err("no host holds the slices");
+        let want = ArrayError { len: 1 << 56, elem_bytes: 24 };
+        assert_eq!(err, ConfigError::Unallocatable { structure: "l2_slice", array: want });
+        assert!(err.to_string().starts_with("l2_slice: cannot allocate"), "{err}");
+
+        // Likewise 2^58 TLB entries (4 EiB), which aborted the process.
+        let mut c = MachineConfig::small_test();
+        c.tlb.entries = 1 << 58;
+        let err = crate::Machine::try_new(c).map(|_| ()).expect_err("no host holds the TLBs");
+        let want = ArrayError { len: 1 << 58, elem_bytes: 16 };
+        assert_eq!(err, ConfigError::Unallocatable { structure: "tlb", array: want });
     }
 
     #[test]

@@ -22,14 +22,14 @@
 //! batched engines; see the `ironhide_cache::directory` module docs for the
 //! protocol).
 
-use ironhide_cache::{Directory, Evicted, PageId, SetAssocCache, SliceId, Tlb};
+use ironhide_cache::{ArrayError, Directory, Evicted, PageId, SetAssocCache, SliceId, Tlb};
 use ironhide_mem::{ControllerMask, MemoryController, RegionMap, RegionOwner};
 use ironhide_mesh::{
     ClusterMap, LatencyModel, MeshEdge, MeshTopology, NocStats, NodeId, NodeSet, NotALink,
     PacketKind, RouteTable,
 };
 
-use crate::config::{LatencyConfig, MachineConfig};
+use crate::config::{ConfigError, LatencyConfig, MachineConfig};
 use crate::fence::{FlushResource, FlushSet};
 use crate::process::{ProcessId, ProcessState, SecurityClass};
 use crate::stats::{MachineStats, ProcessStats};
@@ -546,6 +546,19 @@ fn scrub_drop_hits(seed: u64, ppn: u64, rate_per_mille: u32) -> bool {
     z % 1000 < rate_per_mille as u64
 }
 
+/// Builds one `T` per tile, naming the config field `structure` when the
+/// host refuses one of its arrays.
+fn per_tile<T>(
+    cores: usize,
+    structure: &'static str,
+    build: impl Fn() -> Result<T, ArrayError>,
+) -> Result<Vec<T>, ConfigError> {
+    (0..cores)
+        .map(|_| build())
+        .collect::<Result<_, _>>()
+        .map_err(|array| ConfigError::Unallocatable { structure, array })
+}
+
 impl Machine {
     /// Builds a machine from a configuration.
     ///
@@ -558,15 +571,17 @@ impl Machine {
     }
 
     /// Builds a machine from a configuration, reporting an inconsistent
-    /// configuration as a typed [`ConfigError`](crate::config::ConfigError) instead of panicking.
-    pub fn try_new(config: MachineConfig) -> Result<Self, crate::config::ConfigError> {
+    /// configuration, or arrays the host cannot provide, as a typed
+    /// [`ConfigError`] instead of panicking.
+    pub fn try_new(config: MachineConfig) -> Result<Self, ConfigError> {
         config.validate()?;
         let topology = MeshTopology::new(config.mesh_width, config.mesh_height);
         let cores = config.cores();
-        let l1s = (0..cores).map(|_| SetAssocCache::new(config.l1)).collect();
-        let tlbs = (0..cores).map(|_| Tlb::new(config.tlb)).collect();
-        let l2s = (0..cores).map(|_| SetAssocCache::new(config.l2_slice)).collect();
-        let directories = (0..cores).map(|_| Directory::new(config.directory)).collect();
+        let l1s = per_tile(cores, "l1", || SetAssocCache::try_new(config.l1))?;
+        let tlbs = per_tile(cores, "tlb", || Tlb::try_new(config.tlb))?;
+        let l2s = per_tile(cores, "l2_slice", || SetAssocCache::try_new(config.l2_slice))?;
+        let directories =
+            per_tile(cores, "directory", || Directory::try_new(config.directory, cores))?;
         let controllers =
             (0..config.controllers).map(|i| MemoryController::new(i, config.dram)).collect();
         let mc_nodes =
@@ -619,12 +634,12 @@ impl Machine {
     /// Resets the machine to the state [`Machine::new`] would produce for the
     /// same configuration — no processes, empty caches/TLBs, quiet NoC and
     /// controllers, zeroed statistics — while keeping every allocation (the
-    /// ~11 MB of way arrays per paper-scale machine chiefly). The
-    /// re-allocation predictor recycles one scratch machine through all of
-    /// its candidate probes instead of paying construction and teardown per
-    /// probe; behavioural identity with a fresh machine is covered by the
-    /// golden-stats and sweep byte-identity suites plus the recycling test
-    /// below.
+    /// 15.47 MB of way and directory-entry arrays per paper-scale machine
+    /// chiefly). The re-allocation predictor recycles one scratch machine
+    /// through all of its candidate probes instead of paying construction
+    /// and teardown per probe; behavioural identity with a fresh machine is
+    /// covered by the golden-stats and sweep byte-identity suites plus the
+    /// recycling test below.
     pub fn reset_pristine(&mut self) {
         for c in &mut self.l1s {
             c.reset_pristine();

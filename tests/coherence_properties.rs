@@ -19,6 +19,10 @@
 //!    unobservable: an attacker probing after the purge measures
 //!    byte-identical latencies whatever the victim did before it.
 //!
+//! Invariants 1–3 are driven on the 4-tile test machine and on an 81-tile
+//! one, whose tiles 64 and up keep their directory sharer bits in side
+//! words beyond each entry's inline word.
+//!
 //! The interleavings deliberately exclude *bare* `purge_slices`: flushing a
 //! slice's directory without the surrounding reconfiguration protocol
 //! (private purge of moved tiles + re-home scrub) is documented to leave
@@ -33,7 +37,8 @@ use ironhide::ironhide_sim::machine::Machine;
 use ironhide::ironhide_sim::process::SecurityClass;
 use ironhide::ironhide_sim::stream::RefRun;
 
-/// One step of the coherence driver.
+/// One step of the coherence driver. `core` (and a restricted slice) is an
+/// index into the driver's four issuing tiles.
 #[derive(Debug, Clone)]
 enum CohOp {
     Run { core: usize, base: u64, stride: u64, len: u32, write: bool },
@@ -138,6 +143,50 @@ fn check_invariants(m: &Machine) -> Result<(), String> {
     Ok(())
 }
 
+/// Replays the decoded `words` on a machine built from `config`, issuing
+/// from `tiles`, and checks invariants 1–3 after every step plus, after
+/// every write run, that no other issuing tile holds a written line.
+fn drive_sharing(config: MachineConfig, tiles: [usize; 4], words: &[u64]) {
+    let mut m = Machine::new(config);
+    let pid = m.create_process("p", SecurityClass::Secure);
+    for (i, op) in words.iter().map(|w| decode(*w)).enumerate() {
+        match op {
+            CohOp::Run { core, base, stride, len, write } => {
+                let run = RefRun::new(base, stride, len, write);
+                m.access_run(NodeId(tiles[core]), pid, run);
+                if write {
+                    // No stale read after remote write: the moment the run
+                    // completes, no foreign L1 holds any written line.
+                    for r in run.iter() {
+                        let paddr = m.peek_paddr(pid, r.vaddr).expect("page mapped");
+                        for (other, tile) in tiles.iter().enumerate() {
+                            if other != core {
+                                prop_assert!(
+                                    !m.l1(NodeId(*tile)).probe(paddr),
+                                    "op #{i}: tile {tile} still holds {paddr:#x} \
+                                     written by tile {}",
+                                    tiles[core]
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            CohOp::PurgeCore(c) => {
+                m.purge_core(NodeId(tiles[c]));
+            }
+            CohOp::PurgeAll => {
+                m.purge_all_private();
+            }
+            CohOp::RestrictSlices(s) => {
+                m.set_process_slices(pid, &[SliceId(tiles[s]), SliceId(tiles[3 - s])]);
+            }
+        }
+        let invariants = check_invariants(&m);
+        prop_assert!(invariants.is_ok(), "op #{i} ({op:?}): {}", invariants.unwrap_err());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -148,48 +197,20 @@ proptest! {
     fn mesi_invariants_hold_under_random_sharing(
         words in prop::collection::vec(any::<u64>(), 1..50),
     ) {
-        let mut m = Machine::new(MachineConfig::small_test());
-        let pid = m.create_process("p", SecurityClass::Secure);
-        for (i, op) in words.iter().map(|w| decode(*w)).enumerate() {
-            match op {
-                CohOp::Run { core, base, stride, len, write } => {
-                    let run = RefRun::new(base, stride, len, write);
-                    m.access_run(NodeId(core), pid, run);
-                    if write {
-                        // No stale read after remote write: the moment the
-                        // run completes, no foreign L1 holds any written
-                        // line.
-                        for r in run.iter() {
-                            let paddr = m.peek_paddr(pid, r.vaddr).expect("page mapped");
-                            for other in 0..4usize {
-                                if other != core {
-                                    prop_assert!(
-                                        !m.l1(NodeId(other)).probe(paddr),
-                                        "op #{i}: core {other} still holds {paddr:#x} \
-                                         written by core {core}"
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                CohOp::PurgeCore(c) => {
-                    m.purge_core(NodeId(c));
-                }
-                CohOp::PurgeAll => {
-                    m.purge_all_private();
-                }
-                CohOp::RestrictSlices(s) => {
-                    m.set_process_slices(pid, &[SliceId(s), SliceId(3 - s)]);
-                }
-            }
-            let invariants = check_invariants(&m);
-            prop_assert!(
-                invariants.is_ok(),
-                "op #{i} ({op:?}): {}",
-                invariants.unwrap_err()
-            );
-        }
+        drive_sharing(MachineConfig::small_test(), [0, 1, 2, 3], &words);
+    }
+
+    /// The same driver on a 9×9 machine with the test caches, issuing from
+    /// tiles on both sides of the 64-tile word boundary: every sharer set
+    /// of tiles 64 and 80 lives in the directories' side words.
+    #[test]
+    fn mesi_invariants_hold_beyond_64_tiles(
+        words in prop::collection::vec(any::<u64>(), 1..50),
+    ) {
+        let mut config = MachineConfig::small_test();
+        config.mesh_width = 9;
+        config.mesh_height = 9;
+        drive_sharing(config, [3, 63, 64, 80], &words);
     }
 
     /// Invariant 4: `purge_all_private` leaves zero directory residue, and

@@ -10,9 +10,7 @@
 
 use proptest::prelude::*;
 
-use ironhide::ironhide_cache::{
-    AccessOutcome, CacheConfig, Evicted, ReplacementPolicy, SetAssocCache, SliceId,
-};
+use ironhide::ironhide_cache::{AccessOutcome, CacheConfig, Evicted, SetAssocCache, SliceId};
 use ironhide::ironhide_mesh::{
     ClusterId, ClusterMap, Coord, MeshTopology, NodeId, RoutingAlgorithm,
 };
@@ -23,7 +21,7 @@ use ironhide::ironhide_sim::stream::{RefRun, RefStream};
 
 // ---------------------------------------------------------------------------
 // Reference cache: the seed's nested-vec implementation, div/mod indexing and
-// temporary stamp vectors for victim selection.
+// a temporary stamp vector for LRU victim selection.
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -32,7 +30,6 @@ struct RefWay {
     dirty: bool,
     tag: u64,
     last_use: u64,
-    filled_at: u64,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -48,18 +45,16 @@ struct RefStats {
 
 struct RefCache {
     config: CacheConfig,
-    policy: ReplacementPolicy,
     sets: Vec<Vec<RefWay>>,
     tick: u64,
     stats: RefStats,
 }
 
 impl RefCache {
-    fn new(config: CacheConfig, policy: ReplacementPolicy) -> Self {
+    fn new(config: CacheConfig) -> Self {
         RefCache {
             sets: vec![vec![RefWay::default(); config.ways]; config.sets()],
             config,
-            policy,
             tick: 0,
             stats: RefStats::default(),
         }
@@ -76,31 +71,17 @@ impl RefCache {
         (tag * self.config.sets() as u64 + index as u64) * self.config.line_bytes as u64
     }
 
-    /// The seed's victim selection: copy the stamps into temporaries, then
-    /// pick by policy (first-minimum tie-break, same xorshift for Random).
+    /// The seed's LRU victim selection: copy the stamps into a temporary,
+    /// then take the first minimum.
     fn ref_victim(&self, set: &[RefWay]) -> usize {
-        let index_of_min = |values: &[u64]| -> usize {
-            let mut best = 0;
-            for (i, v) in values.iter().enumerate() {
-                if *v < values[best] {
-                    best = i;
-                }
-            }
-            best
-        };
         let last_use: Vec<u64> = set.iter().map(|w| w.last_use).collect();
-        let filled_at: Vec<u64> = set.iter().map(|w| w.filled_at).collect();
-        match self.policy {
-            ReplacementPolicy::Lru => index_of_min(&last_use),
-            ReplacementPolicy::Fifo => index_of_min(&filled_at),
-            ReplacementPolicy::Random => {
-                let mut x = self.tick.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-                x ^= x >> 33;
-                x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-                x ^= x >> 29;
-                (x as usize) % last_use.len()
+        let mut best = 0;
+        for (i, v) in last_use.iter().enumerate() {
+            if *v < last_use[best] {
+                best = i;
             }
         }
+        best
     }
 
     fn access(&mut self, addr: u64, write: bool) -> AccessOutcome {
@@ -130,7 +111,7 @@ impl RefCache {
             None
         };
         self.sets[index][victim_idx] =
-            RefWay { valid: true, dirty: write, tag, last_use: self.tick, filled_at: self.tick };
+            RefWay { valid: true, dirty: write, tag, last_use: self.tick };
         AccessOutcome::Miss { evicted }
     }
 
@@ -191,14 +172,6 @@ fn geometry(idx: usize) -> CacheConfig {
     }
 }
 
-fn policy(idx: usize) -> ReplacementPolicy {
-    match idx % 3 {
-        0 => ReplacementPolicy::Lru,
-        1 => ReplacementPolicy::Fifo,
-        _ => ReplacementPolicy::Random,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Reference route: the seed's step-loop materialiser.
 // ---------------------------------------------------------------------------
@@ -244,18 +217,17 @@ proptest! {
 
     /// The flattened cache and the nested-vec reference agree on every
     /// outcome, statistic and state query over random access sequences with
-    /// interleaved invalidates and purges, for every geometry and policy.
+    /// interleaved invalidates and purges, for every geometry.
     #[test]
     fn flat_cache_matches_nested_reference(
         geo in 0usize..4,
-        pol in 0usize..3,
         addrs in prop::collection::vec(0u64..0x8000, 1..400),
         writes in prop::collection::vec(any::<bool>(), 1..400),
         ops in prop::collection::vec(0u8..32, 1..400),
     ) {
         let config = geometry(geo);
-        let mut flat = SetAssocCache::with_policy(config, policy(pol));
-        let mut reference = RefCache::new(config, policy(pol));
+        let mut flat = SetAssocCache::new(config);
+        let mut reference = RefCache::new(config);
         for (i, addr) in addrs.iter().enumerate() {
             let write = writes[i % writes.len()];
             match ops[i % ops.len()] {
