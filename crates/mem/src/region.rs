@@ -146,11 +146,6 @@ impl RegionMap {
         ControllerMask(mask)
     }
 
-    /// Total bytes of DRAM owned by `owner`.
-    pub fn capacity_of(&self, owner: RegionOwner) -> u64 {
-        self.regions_of(owner).iter().map(|r| r.size).sum()
-    }
-
     /// Checks the strong-isolation invariant that controller masks derived
     /// from the two owners are disjoint (every controller serves one domain).
     /// The multicore-MI6 baseline intentionally violates this (controllers are
@@ -172,7 +167,6 @@ mod tests {
         assert_eq!(map.regions().len(), 8);
         assert_eq!(map.regions_of(RegionOwner::Secure).len(), 4);
         assert_eq!(map.regions_of(RegionOwner::Insecure).len(), 4);
-        assert_eq!(map.capacity_of(RegionOwner::Secure), 4 << 30);
     }
 
     #[test]

@@ -115,8 +115,6 @@ pub struct LatencyConfig {
     /// Cycles to re-home one page of shared-L2 data during an IRONHIDE
     /// cluster reconfiguration (unmap, set-home, remap).
     pub rehome_page: u64,
-    /// Pipeline flush cost of an ordinary process context switch.
-    pub context_switch: u64,
 }
 
 impl Default for LatencyConfig {
@@ -129,7 +127,6 @@ impl Default for LatencyConfig {
             purge_tlb_entry: 40,
             purge_fence: 45_000,
             rehome_page: 900,
-            context_switch: 1_500,
         }
     }
 }

@@ -18,9 +18,16 @@
 //! home slice owns a bounded [`Directory`] that the machine consults on each
 //! L1 fill and on each write-upgrade of a Shared line, charging the
 //! resulting cross-core invalidation/downgrade messages over the real mesh
-//! routes (one shared transaction implementation serves the scalar and
-//! batched engines; see the `ironhide_cache::directory` module docs for the
+//! routes (see the `ironhide_cache::directory` module docs for the
 //! protocol).
+//!
+//! Two entry points step references through the hierarchy:
+//! [`Machine::access`], the unmemoised scalar reference, one reference at a
+//! time, and [`Machine::access_run`], the batched engine, which does the
+//! per-page work once per page segment and collapses same-line references.
+//! Past the L1 lookup both run the same steps from one per-page context:
+//! one L1-miss path, one write-upgrade and one coherence transaction, so
+//! every L2, DRAM, directory and NoC charge has a single site.
 
 use ironhide_cache::{ArrayError, Directory, Evicted, PageId, SetAssocCache, SliceId, Tlb};
 use ironhide_mem::{ControllerMask, MemoryController, RegionMap, RegionOwner};
@@ -119,7 +126,9 @@ struct BatchScratch {
     /// stored for, so one left by a different page is rejected here without
     /// touching the directory, and a hint for the accessed line is only
     /// acted on after [`Directory::access_private_fast`] revalidates the
-    /// slot (live entry, same line, sole sharer = this core).
+    /// slot (live entry, same line, sole sharer = this core). Scalar
+    /// accesses neither read nor refresh them, which is sound for the same
+    /// reason.
     dir_hints: Vec<Option<DirHint>>,
 }
 
@@ -172,10 +181,8 @@ fn home_of_line(
 }
 
 /// The network half of a coherence transaction: the mesh and the DRAM
-/// region map needed to classify invalidation/downgrade messages. Split out
-/// so [`coherence_transaction`] — the **single** implementation both the
-/// scalar reference path and the batched engine execute — can be handed
-/// disjoint borrows from either context.
+/// region map needed to classify invalidation/downgrade messages, split out
+/// of [`SegCtx`] so [`coherence_transaction`] can be handed disjoint borrows.
 struct CohNet<'a> {
     net: &'a mut Network,
     regions: &'a RegionMap,
@@ -243,10 +250,11 @@ impl CohNet<'_> {
 /// hint for another line is skipped without touching the directory: the
 /// full transaction then makes the same mutations the fast path would. The
 /// hint is refreshed from the full transaction's located slot whenever the
-/// line ends privately held. The scalar reference path passes `None` and
-/// always executes the full transaction, which is what makes the
-/// batched-vs-scalar differential in `tests/hot_path_equivalence.rs` a real
-/// check of the fast path's byte-identity.
+/// line ends privately held. The scalar reference's context carries no
+/// hints, so it passes `None` and always executes the full transaction,
+/// which is what makes the batched-vs-scalar differential in
+/// `tests/hot_path_equivalence.rs` a real check of the fast path's
+/// byte-identity.
 #[allow(clippy::too_many_arguments)]
 fn coherence_transaction(
     dir: &mut Directory,
@@ -320,18 +328,31 @@ fn coherence_transaction(
     cycles
 }
 
-/// The state one page segment of a batched run executes against: the split
-/// borrows of the machine the access and miss paths need, plus the lazily
-/// resolved page-run invariants (home slice, owning controller) and the
-/// statistics accumulators flushed once per segment.
+/// The state an access executes against past its L1 lookup — one scalar
+/// reference, or one page segment of a batched run: the split borrows of
+/// the machine the miss and upgrade paths need, the page's lazily resolved
+/// home slice and owning controller, and the statistics the caller flushes.
+///
+/// [`Machine::seg_ctx`], which makes it, its two steps and [`run_miss_path`]
+/// are forced inline, so that each engine keeps the context in registers
+/// instead of building it in memory: plain `#[inline]` left the scalar miss
+/// path about 8% slower on a 2-vCPU Xeon host.
 struct SegCtx<'a> {
-    lat: LatencyConfig,
+    l2_hit: u64,
     core: NodeId,
     pid: ProcessId,
-    /// Physical page number every reference of the segment falls in.
+    /// Physical page number every reference of the context falls in.
     ppn: u64,
     page_bytes: u64,
     line_bytes: u64,
+    /// The page's home slice and owning controller, each resolved on first
+    /// need: seeded from (and written back to) the batched engine's page
+    /// memo, unresolved on every scalar access.
+    home: Option<NodeId>,
+    mc: Option<usize>,
+    /// The page's directory slot hints (see [`BatchScratch`]); empty for the
+    /// scalar reference, which therefore never takes the fast path.
+    dir_hints: &'a mut [Option<DirHint>],
     l1s: &'a mut [SetAssocCache],
     directories: &'a mut [Directory],
     l2s: &'a mut [SetAssocCache],
@@ -340,65 +361,55 @@ struct SegCtx<'a> {
     mc_nodes: &'a [NodeId],
     processes: &'a [ProcessState],
     regions: &'a RegionMap,
-    batch: &'a mut BatchScratch,
     load_hint: u64,
+    /// L2 accesses so far: one per L1 miss.
     l2_accesses: u64,
-    l2_hits: u64,
     dram_accesses: u64,
 }
 
 impl SegCtx<'_> {
-    /// The home slice of the segment's page (the scalar path resolves this
-    /// per miss; it is a page-level invariant, so it is memoised until the
-    /// page memo rebinds or an epoch bump invalidates it).
+    /// The home slice of the context's page, falling back to the issuing
+    /// core's own slice when the page has none (no pin, no allowed slice).
+    #[inline(always)]
     fn home(&mut self) -> NodeId {
-        if let Some(h) = self.batch.home {
-            return h;
-        }
-        let h = self.processes[self.pid.0]
-            .home
-            .home_of(PageId(self.ppn))
-            .map(|s| NodeId(s.0))
-            .unwrap_or(self.core);
-        self.batch.home = Some(h);
-        h
+        *self.home.get_or_insert_with(|| {
+            let home = self.processes[self.pid.0].home.home_of(PageId(self.ppn));
+            home.map_or(self.core, |s| NodeId(s.0))
+        })
     }
 
-    /// Runs [`coherence_transaction`] at the segment's home slice from the
-    /// batched engine's split borrows.
+    /// Runs [`coherence_transaction`] at the page's home slice, with the
+    /// line's directory hint when the context carries hints.
+    #[inline(always)]
     fn coherence(&mut self, paddr: u64, write: bool, upgrade: bool) -> u64 {
         let home = self.home();
-        let core = self.core;
-        let line_bytes = self.line_bytes;
-        let lines_per_page = (self.page_bytes / line_bytes) as usize;
-        let slot_idx = ((paddr % self.page_bytes) / line_bytes) as usize;
-        let SegCtx { l1s, directories, net, regions, batch, .. } = self;
-        if batch.dir_hints.len() != lines_per_page {
-            // One-time lazy allocation (pages have one size per machine).
-            batch.dir_hints.clear();
-            batch.dir_hints.resize(lines_per_page, None);
-        }
-        let mut net = CohNet { net, regions };
+        let SegCtx { core, page_bytes, line_bytes, l1s, directories, net, regions, .. } = self;
+        // The scalar reference carries no hints and skips the slot arithmetic.
+        let hint = if self.dir_hints.is_empty() {
+            None
+        } else {
+            self.dir_hints.get_mut(((paddr % *page_bytes) / *line_bytes) as usize)
+        };
         coherence_transaction(
             &mut directories[home.0],
             l1s,
-            core,
+            *core,
             home,
             paddr,
-            line_bytes,
+            *line_bytes,
             write,
             upgrade,
-            &mut net,
-            Some(&mut batch.dir_hints[slot_idx]),
+            &mut CohNet { net, regions },
+            hint,
         )
     }
 }
 
-/// The L1-miss path of one batched reference: write-back of the victim,
-/// request to the home slice, the L2 access, the DRAM round trip on an L2
-/// miss and the response — mirroring [`Machine::access`] step for step, but
-/// with the page's home slice and controller memoised. Returns the added
-/// cycles and the level that serviced the access.
+/// The L1-miss path of one reference, shared by both engines: write-back
+/// of the victim, request to the home slice, the L2 access, the DRAM round
+/// trip on an L2 miss, the response and the home directory's transaction.
+/// Returns the added cycles and the level that serviced the access.
+#[inline(always)]
 fn run_miss_path(
     ctx: &mut SegCtx<'_>,
     paddr: u64,
@@ -416,7 +427,7 @@ fn run_miss_path(
     let home = ctx.home();
     cycles += ctx.net.charge(ctx.core, home, PacketKind::Request);
     let l2_outcome = ctx.l2s[home.0].access(paddr, write);
-    cycles += ctx.lat.l2_hit;
+    cycles += ctx.l2_hit;
     ctx.l2_accesses += 1;
     let path = if l2_outcome.is_miss() {
         if let Some(ev) = l2_outcome.evicted() {
@@ -428,14 +439,7 @@ fn run_miss_path(
             }
         }
         // Off-chip access through the page's owning controller.
-        let mc = match ctx.batch.mc {
-            Some(mc) => mc,
-            None => {
-                let mc = ctx.regions.controller_of(paddr).unwrap_or(0);
-                ctx.batch.mc = Some(mc);
-                mc
-            }
-        };
+        let mc = *ctx.mc.get_or_insert_with(|| ctx.regions.controller_of(paddr).unwrap_or(0));
         let mc_node = ctx.mc_nodes[mc];
         cycles += ctx.net.charge(home, mc_node, PacketKind::Request);
         cycles += ctx.controllers[mc].access(paddr, write, ctx.load_hint);
@@ -443,7 +447,6 @@ fn run_miss_path(
         ctx.dram_accesses += 1;
         AccessPath::Dram { home, controller: mc }
     } else {
-        ctx.l2_hits += 1;
         AccessPath::L2 { home }
     };
     cycles += ctx.net.charge(home, ctx.core, PacketKind::Response);
@@ -715,11 +718,6 @@ impl Machine {
         self.latency_trace = Some(LatencyTrace::new(capacity));
     }
 
-    /// Detaches and returns the latency trace, if one was attached.
-    pub fn disable_latency_trace(&mut self) -> Option<LatencyTrace> {
-        self.latency_trace.take()
-    }
-
     /// The attached latency trace, if any.
     pub fn latency_trace(&self) -> Option<&LatencyTrace> {
         self.latency_trace.as_ref()
@@ -828,49 +826,34 @@ impl Machine {
     /// the batched engine's page memo. The memoised home and controller are
     /// still valid by construction (nothing they depend on changed), so the
     /// no-op rule is unobservable in simulated cycles.
+    ///
+    /// Under [`Machine::set_reconfig_reference`] the call runs the scalar
+    /// reference instead: an unconditional `route_epoch` bump, the O(pins)
+    /// rehome scan and the per-line, per-page scrub.
     pub fn set_process_slices(&mut self, pid: ProcessId, slices: &[SliceId]) -> (u64, u64) {
-        if self.reference_reconfig {
-            return self.set_process_slices_reference(pid, slices);
-        }
-        {
-            let home = &self.processes[pid.0].home;
-            if home.allowed_slices() == slices && !home.has_disallowed_pins() {
-                return (0, 0);
-            }
+        let reference = self.reference_reconfig;
+        let home = &self.processes[pid.0].home;
+        if !reference && home.allowed_slices() == slices && !home.has_disallowed_pins() {
+            return (0, 0);
         }
         self.route_epoch += 1;
         let mut log = std::mem::take(&mut self.rehome_log);
         log.clear();
-        let p = &mut self.processes[pid.0];
-        p.home.set_allowed(slices.iter().copied());
-        let moved = p.home.rehome_all_logged(&mut log).unwrap_or(0);
+        let home = &mut self.processes[pid.0].home;
+        home.set_allowed(slices.iter().copied());
+        let moved = if reference {
+            home.rehome_all_logged_reference(&mut log)
+        } else {
+            home.rehome_all_logged(&mut log)
+        };
+        let moved = moved.unwrap_or(0);
         self.pages_rehomed += moved;
         if self.scrub_deferred {
             self.deferred_scrub_log.extend_from_slice(&log);
         } else {
-            self.scrub_pages(&log);
+            self.scrub_moved(&log);
         }
         self.rehome_log = log;
-        (moved, moved * self.config.latency.rehome_page)
-    }
-
-    /// The scalar reference twin of [`Machine::set_process_slices`] (see the
-    /// `reference_reconfig` flag): unconditional `route_epoch` bump, the
-    /// O(pins) rehome scan, and the per-line per-page scrub.
-    fn set_process_slices_reference(&mut self, pid: ProcessId, slices: &[SliceId]) -> (u64, u64) {
-        self.route_epoch += 1;
-        let p = &mut self.processes[pid.0];
-        p.home.set_allowed(slices.iter().copied());
-        let mut moved_log: Vec<(PageId, SliceId)> = Vec::new();
-        let moved = p.home.rehome_all_logged_reference(&mut moved_log).unwrap_or(0);
-        self.pages_rehomed += moved;
-        if self.scrub_deferred {
-            self.deferred_scrub_log.extend_from_slice(&moved_log);
-        } else {
-            for (page, old_home) in moved_log {
-                self.scrub_page(page.0, old_home);
-            }
-        }
         (moved, moved * self.config.latency.rehome_page)
     }
 
@@ -909,16 +892,9 @@ impl Machine {
     /// have used, so deferring and flushing with an empty window in between
     /// is architecturally identical to not deferring at all.
     pub fn flush_deferred_scrub(&mut self) -> u64 {
-        let log = std::mem::take(&mut self.deferred_scrub_log);
+        let mut log = std::mem::take(&mut self.deferred_scrub_log);
         let pages = log.len() as u64;
-        if self.reference_reconfig {
-            for (page, old_home) in &log {
-                self.scrub_page(page.0, *old_home);
-            }
-        } else {
-            self.scrub_pages(&log);
-        }
-        let mut log = log;
+        self.scrub_moved(&log);
         log.clear();
         self.deferred_scrub_log = log;
         pages
@@ -981,13 +957,7 @@ impl Machine {
         let log = std::mem::take(&mut fault.dropped);
         let packets = purges.len() as u64 + log.len() as u64;
         self.purge_slices(&purges);
-        if self.reference_reconfig {
-            for (page, old_home) in &log {
-                self.scrub_page(page.0, *old_home);
-            }
-        } else {
-            self.scrub_pages(&log);
-        }
+        self.scrub_moved(&log);
         self.scrub_drop = Some(fault);
         packets
     }
@@ -1020,6 +990,19 @@ impl Machine {
     /// Panics if `mc` is out of range.
     pub fn set_controller_fault_stall(&mut self, mc: usize, cycles: u64) {
         self.controllers[mc].set_fault_stall(cycles);
+    }
+
+    /// Scrubs re-homed pages through the reconfiguration mode's path: one
+    /// [`Machine::scrub_page`] per page under the scalar reference, one
+    /// [`Machine::scrub_pages`] batch otherwise.
+    fn scrub_moved(&mut self, moved_log: &[(PageId, SliceId)]) {
+        if self.reference_reconfig {
+            for &(page, old_home) in moved_log {
+                self.scrub_page(page.0, old_home);
+            }
+        } else {
+            self.scrub_pages(moved_log);
+        }
     }
 
     /// Scrubs one re-homed physical page — the full unmap/flush/remap of the
@@ -1216,19 +1199,6 @@ impl Machine {
         count
     }
 
-    /// The memory controllers whose attachment node lies inside each node of
-    /// `nodes` (used by the cluster manager to dedicate controllers to a
-    /// cluster).
-    pub fn controllers_attached_to(&self, nodes: &[NodeId]) -> ControllerMask {
-        let mut mask = 0u32;
-        for (id, node) in self.mc_nodes.iter().enumerate() {
-            if nodes.contains(node) {
-                mask |= 1 << id;
-            }
-        }
-        ControllerMask(mask)
-    }
-
     // ----- address translation --------------------------------------------
 
     /// Translates a run of `count` accesses to the page containing `vaddr`
@@ -1336,11 +1306,7 @@ impl Machine {
             // Routed through the reconfiguration mode so the differential
             // suite also covers the census-present aliasing path batched
             // against scalar.
-            if self.reference_reconfig {
-                self.scrub_page(ppn, old);
-            } else {
-                self.scrub_pages(&[(PageId(ppn), old)]);
-            }
+            self.scrub_moved(&[(PageId(ppn), old)]);
         }
         ppn
     }
@@ -1364,94 +1330,40 @@ impl Machine {
     /// Performs one memory access by the thread of `pid` running on `core`,
     /// returning the latency in cycles.
     ///
+    /// This is the unmemoised reference the batched engine
+    /// ([`Machine::access_run`]) is differentially tested against: it
+    /// translates one reference at a time, collapses no same-line
+    /// references, and consults neither the page memo nor the directory
+    /// hints. An L1 miss or write-upgrade runs the batched engine's own miss
+    /// and coherence steps, from a context whose home slice and controller
+    /// start unresolved.
+    ///
     /// # Panics
     ///
     /// Panics if `core` or `pid` is out of range.
     pub fn access(&mut self, core: NodeId, pid: ProcessId, vaddr: u64, write: bool) -> u64 {
         assert!(core.0 < self.config.cores(), "core {core} out of range");
         assert!(pid.0 < self.processes.len(), "unknown process {pid}");
-        let lat = self.config.latency;
-        let mut cycles = 0u64;
-
-        // 1+2. TLB, then translation (allocating on first touch).
         let (paddr, tlb_hit) = self.translate_page_run(core, pid, vaddr, 1);
-        if !tlb_hit {
-            cycles += lat.page_walk;
-        }
-
-        // 3. Private L1.
-        let (l1_outcome, l1_was_shared) = self.l1s[core.0].access_coherent(paddr, write);
-        cycles += lat.l1_hit;
+        let lat = &self.config.latency;
+        let mut cycles = lat.l1_hit + if tlb_hit { 0 } else { lat.page_walk };
+        let (outcome, was_shared) = self.l1s[core.0].access_coherent(paddr, write);
         let mut path = AccessPath::L1;
-        if l1_outcome.is_miss() {
-            // Write back the victim off the critical path but account for it.
-            if let Some(ev) = l1_outcome.evicted() {
-                if ev.dirty {
-                    let home =
-                        home_of_line(&self.processes, &self.regions, self.page_bytes(), ev.addr);
-                    self.net.charge(core, home, PacketKind::WriteBack);
-                }
-            }
-            // 4. Route to the home L2 slice.
+        if outcome.is_miss() || (write && was_shared) {
             let ppn = paddr / self.page_bytes();
-            let home_slice =
-                self.processes[pid.0].home.home_of(PageId(ppn)).map(|s| s.0).unwrap_or(core.0);
-            let home = NodeId(home_slice);
-            cycles += self.net.charge(core, home, PacketKind::Request);
-            let l2_outcome = self.l2s[home.0].access(paddr, write);
-            cycles += lat.l2_hit;
-            if l2_outcome.is_miss() {
-                if let Some(ev) = l2_outcome.evicted() {
-                    if ev.dirty {
-                        if let Ok(mc) = self.regions.controller_of(ev.addr) {
-                            let mc_node = self.mc_nodes[mc];
-                            self.net.charge(home, mc_node, PacketKind::WriteBack);
-                        }
-                    }
-                }
-                // 5. Off-chip access through the owning controller.
-                let mc = self.regions.controller_of(paddr).unwrap_or(0);
-                let mc_node = self.mc_nodes[mc];
-                cycles += self.net.charge(home, mc_node, PacketKind::Request);
-                cycles += self.controllers[mc].access(paddr, write, self.load_hint);
-                cycles += self.net.charge(mc_node, home, PacketKind::Response);
-                path = AccessPath::Dram { home, controller: mc };
-                self.proc_stats[pid.0].dram_accesses += 1;
+            let (mut ctx, _) = self.seg_ctx(core, pid, ppn, false);
+            if outcome.is_miss() {
+                let (extra, miss_path) = run_miss_path(&mut ctx, paddr, outcome.evicted(), write);
+                cycles += extra;
+                path = miss_path;
             } else {
-                path = AccessPath::L2 { home };
-            }
-            cycles += self.net.charge(home, core, PacketKind::Response);
-            // 6. The home directory serialises the fill: foreign copies
-            // transition (and are charged) before the access completes.
-            cycles += self.coherence_at(home, core, paddr, write, false);
-        } else if write && l1_was_shared {
-            // Write hit on a Shared line: the directory write-upgrade must
-            // invalidate every other sharer before the write is complete.
-            let home = self.home_of_access(pid, paddr, core);
-            cycles += self.coherence_at(home, core, paddr, true, true);
-        }
-
-        // Attribute statistics to the process.
-        let stats = &mut self.proc_stats[pid.0];
-        stats.tlb.accesses += 1;
-        if tlb_hit {
-            stats.tlb.hits += 1;
-        } else {
-            stats.tlb.misses += 1;
-        }
-        stats.l1.accesses += 1;
-        if l1_outcome.is_hit() {
-            stats.l1.hits += 1;
-        } else {
-            stats.l1.misses += 1;
-            stats.l2.accesses += 1;
-            match path {
-                AccessPath::L2 { .. } => stats.l2.hits += 1,
-                AccessPath::Dram { .. } => stats.l2.misses += 1,
-                AccessPath::L1 => unreachable!("an L1 miss cannot be serviced by the L1"),
+                // Write hit on a Shared line: the directory write-upgrade
+                // must invalidate every other sharer first.
+                cycles += ctx.coherence(paddr, true, true);
             }
         }
-        stats.memory_cycles += cycles;
+        let dram = matches!(path, AccessPath::Dram { .. }) as u64;
+        self.proc_stats[pid.0].record_refs(1, tlb_hit, outcome.is_miss() as u64, dram, cycles);
         self.last_path = Some(path);
         if let Some(trace) = &mut self.latency_trace {
             trace.record(cycles);
@@ -1459,41 +1371,65 @@ impl Machine {
         cycles
     }
 
-    /// The home slice an *access* by `core` resolves for `paddr` — identical
-    /// to the miss path's resolution, falling back to the issuing core's own
-    /// slice (the batched engine's `SegCtx::home` uses the same fallback).
-    fn home_of_access(&self, pid: ProcessId, paddr: u64, core: NodeId) -> NodeId {
-        let ppn = paddr / self.page_bytes();
-        self.processes[pid.0].home.home_of(PageId(ppn)).map(|s| NodeId(s.0)).unwrap_or(core)
-    }
-
-    /// Runs [`coherence_transaction`] at `home` from the scalar reference
-    /// path's borrows.
-    fn coherence_at(
+    /// Splits the machine into the [`SegCtx`] of `core`'s accesses to page
+    /// `ppn` of `pid`, plus the latency trace. With `memo` — the batched
+    /// engine — the context starts from the page memo's home, controller and
+    /// directory hints; without it — the scalar reference — it starts
+    /// unresolved and without hints.
+    #[inline(always)]
+    fn seg_ctx(
         &mut self,
-        home: NodeId,
         core: NodeId,
-        paddr: u64,
-        write: bool,
-        upgrade: bool,
-    ) -> u64 {
-        let line_bytes = self.config.l1.line_bytes as u64;
-        let Machine { directories, l1s, net, regions, .. } = self;
-        let mut net = CohNet { net, regions };
-        // `hint: None` — the scalar path is the unmemoised reference
-        // the batched engine's fast path is differentially tested against.
-        coherence_transaction(
-            &mut directories[home.0],
+        pid: ProcessId,
+        ppn: u64,
+        memo: bool,
+    ) -> (SegCtx<'_>, Option<&mut LatencyTrace>) {
+        let Machine {
+            config,
             l1s,
+            l2s,
+            directories,
+            net,
+            controllers,
+            mc_nodes,
+            processes,
+            regions,
+            latency_trace,
+            batch,
+            load_hint,
+            ..
+        } = self;
+        let (page_bytes, line_bytes) = (config.tlb.page_bytes as u64, config.l1.line_bytes as u64);
+        let (home, mc, dir_hints) = if memo {
+            // One-time lazy allocation (pages have one size per machine).
+            batch.dir_hints.resize((page_bytes / line_bytes) as usize, None);
+            (batch.home, batch.mc, &mut batch.dir_hints[..])
+        } else {
+            (None, None, &mut [][..])
+        };
+        let ctx = SegCtx {
+            l2_hit: config.latency.l2_hit,
             core,
-            home,
-            paddr,
+            pid,
+            ppn,
+            page_bytes,
             line_bytes,
-            write,
-            upgrade,
-            &mut net,
-            None,
-        )
+            home,
+            mc,
+            dir_hints,
+            l1s,
+            directories,
+            l2s,
+            net,
+            controllers,
+            mc_nodes,
+            processes,
+            regions,
+            load_hint: *load_hint,
+            l2_accesses: 0,
+            dram_accesses: 0,
+        };
+        (ctx, latency_trace.as_mut())
     }
 
     // ----- coherence observability (tests, invariant checks) ---------------
@@ -1552,8 +1488,9 @@ impl Machine {
     ///   they reach DRAM — the same controller, memoised until the page,
     ///   core or process changes or pages are re-homed.
     ///
-    /// Every packet, here and in the scalar path, is charged from the one
-    /// route table, so it only performs its per-link load observations.
+    /// Past the L1 lookup a reference runs exactly the steps of
+    /// [`Machine::access`]: the same miss path and write-upgrade, charging
+    /// every packet from the one route table.
     ///
     /// # Panics
     ///
@@ -1579,155 +1516,55 @@ impl Machine {
 
     /// Executes one page segment of a run (every reference in one page).
     fn access_page_segment(&mut self, core: NodeId, pid: ProcessId, seg: RefRun) -> u64 {
-        let lat = self.config.latency;
-        let line_bytes = self.config.l1.line_bytes as u64;
-        let page_bytes = self.page_bytes();
-        let write = seg.write;
         let (paddr0, tlb_hit) = self.translate_page_run(core, pid, seg.base, seg.len as u64);
-        let walk = if tlb_hit { 0 } else { lat.page_walk };
-
-        let ppn = paddr0 / page_bytes;
+        let ppn = paddr0 / self.page_bytes();
         self.batch.rebind((self.route_epoch, core.0, pid.0, ppn));
-        let Machine {
-            l1s,
-            l2s,
-            directories,
-            net,
-            controllers,
-            mc_nodes,
-            processes,
-            proc_stats,
-            regions,
-            latency_trace,
-            last_path,
-            batch,
-            load_hint,
-            ..
-        } = self;
-        let mut ctx = SegCtx {
-            lat,
-            core,
-            pid,
-            ppn,
-            page_bytes,
-            line_bytes,
-            l1s,
-            directories,
-            l2s,
-            net,
-            controllers,
-            mc_nodes,
-            processes,
-            regions,
-            batch,
-            load_hint: *load_hint,
-            l2_accesses: 0,
-            l2_hits: 0,
-            dram_accesses: 0,
-        };
-        let mut trace = latency_trace.as_mut();
+        let LatencyConfig { l1_hit, page_walk, .. } = self.config.latency;
+        let mut walk = if tlb_hit { 0 } else { page_walk };
+        let (mut ctx, mut trace) = self.seg_ctx(core, pid, ppn, true);
         let mut total = 0u64;
-        let mut l1_hits = 0u64;
-        let mut l1_misses = 0u64;
-        let mut seg_last_path = AccessPath::L1;
-        let mut first_ref = true;
-
-        if seg.stride == 0 || (seg.stride as i64).unsigned_abs() < line_bytes {
-            // Sub-line strides: consecutive references share L1 lines. Within
-            // each line group only the first reference can miss; the rest
-            // collapse into one bulk hit update. (The collapsed extras can
-            // never owe a coherence action: after the first reference the
-            // core owns the line, or holds it Shared read-only.)
-            for lseg in seg.segments(line_bytes) {
-                let paddr = paddr0.wrapping_add(lseg.base.wrapping_sub(seg.base));
-                let (outcome, was_shared) =
-                    ctx.l1s[core.0].access_line_run(paddr, lseg.len as u64, write);
-                let mut cycles = lat.l1_hit;
-                if first_ref {
-                    cycles += walk;
-                    first_ref = false;
-                }
-                if outcome.is_miss() {
-                    l1_misses += 1;
-                    let (extra, path) = run_miss_path(&mut ctx, paddr, outcome.evicted(), write);
-                    cycles += extra;
-                    seg_last_path = path;
-                } else {
-                    l1_hits += 1;
-                    if write && was_shared {
-                        cycles += ctx.coherence(paddr, true, true);
-                    }
-                    seg_last_path = AccessPath::L1;
-                }
-                total += cycles;
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(cycles);
-                }
-                if lseg.len > 1 {
-                    let extra_refs = (lseg.len - 1) as u64;
-                    l1_hits += extra_refs;
-                    total += extra_refs * lat.l1_hit;
-                    if let Some(t) = trace.as_deref_mut() {
-                        for _ in 0..extra_refs {
-                            t.record(lat.l1_hit);
-                        }
-                    }
-                    seg_last_path = AccessPath::L1;
+        let mut last_path = AccessPath::L1;
+        // One group per L1 line the segment touches. Only a group's first
+        // reference can miss or owe a write-upgrade; the rest collapse into
+        // one bulk hit update, since after the first reference the core owns
+        // the line or holds it Shared read-only. A stride of a line or more
+        // makes every group a single reference, so the directory can act on
+        // any L1, this core's own included, between references.
+        for group in seg.segments(ctx.line_bytes) {
+            let paddr = paddr0.wrapping_add(group.base.wrapping_sub(seg.base));
+            let (outcome, was_shared) =
+                ctx.l1s[core.0].access_line_run(paddr, group.len as u64, seg.write);
+            let mut cycles = l1_hit + std::mem::take(&mut walk);
+            last_path = AccessPath::L1;
+            if outcome.is_miss() {
+                let (extra, path) = run_miss_path(&mut ctx, paddr, outcome.evicted(), seg.write);
+                cycles += extra;
+                last_path = path;
+            } else if seg.write && was_shared {
+                cycles += ctx.coherence(paddr, true, true);
+            }
+            let extra_refs = group.len as u64 - 1;
+            total += cycles + extra_refs * l1_hit;
+            if let Some(t) = trace.as_deref_mut() {
+                t.record(cycles);
+                for _ in 0..extra_refs {
+                    t.record(l1_hit);
                 }
             }
-        } else {
-            // Line-or-larger strides: every reference touches a distinct
-            // line; each runs the full lookup/fill so the directory layer
-            // can invalidate/downgrade copies in any L1 (including this
-            // core's own, for back-invalidations) between references.
-            let mut paddr = paddr0;
-            for _ in 0..seg.len {
-                let (outcome, was_shared) = ctx.l1s[core.0].access_coherent(paddr, write);
-                let mut cycles = lat.l1_hit;
-                if first_ref {
-                    cycles += walk;
-                    first_ref = false;
-                }
-                if outcome.is_miss() {
-                    l1_misses += 1;
-                    let (extra, path) = run_miss_path(&mut ctx, paddr, outcome.evicted(), write);
-                    cycles += extra;
-                    seg_last_path = path;
-                } else {
-                    l1_hits += 1;
-                    if write && was_shared {
-                        cycles += ctx.coherence(paddr, true, true);
-                    }
-                    seg_last_path = AccessPath::L1;
-                }
-                total += cycles;
-                if let Some(t) = trace.as_deref_mut() {
-                    t.record(cycles);
-                }
-                paddr = paddr.wrapping_add(seg.stride);
+            if extra_refs > 0 {
+                last_path = AccessPath::L1;
             }
         }
-
-        // Flush the per-segment statistics (identical totals to the scalar
-        // path's per-reference updates).
-        let stats = &mut proc_stats[pid.0];
-        let len = seg.len as u64;
-        stats.tlb.accesses += len;
-        if tlb_hit {
-            stats.tlb.hits += len;
-        } else {
-            stats.tlb.hits += len - 1;
-            stats.tlb.misses += 1;
-        }
-        stats.l1.accesses += len;
-        stats.l1.hits += l1_hits;
-        stats.l1.misses += l1_misses;
-        stats.l2.accesses += ctx.l2_accesses;
-        stats.l2.hits += ctx.l2_hits;
-        stats.l2.misses += ctx.dram_accesses;
-        stats.dram_accesses += ctx.dram_accesses;
-        stats.memory_cycles += total;
-        *last_path = Some(seg_last_path);
+        let SegCtx { home, mc, l2_accesses, dram_accesses, .. } = ctx;
+        (self.batch.home, self.batch.mc) = (home, mc);
+        self.proc_stats[pid.0].record_refs(
+            seg.len as u64,
+            tlb_hit,
+            l2_accesses,
+            dram_accesses,
+            total,
+        );
+        self.last_path = Some(last_path);
         total
     }
 
@@ -2075,12 +1912,9 @@ mod tests {
         let mut m = machine();
         let pid = m.create_process("p", SecurityClass::Secure);
         let map = ClusterMap::row_major_split(MeshTopology::new(2, 2), 2);
-        // Dedicate to the secure cluster the controller(s) attached to its own
-        // tiles, as IRONHIDE does, so off-chip traffic also stays contained.
-        let secure_nodes = map.nodes_of(ironhide_mesh::ClusterId::Secure);
-        let mask = m.controllers_attached_to(&secure_nodes);
-        assert!(mask.count() >= 1);
-        m.set_process_controllers(pid, mask);
+        // Dedicate to the secure cluster the north controller beside its row,
+        // as IRONHIDE does, so off-chip traffic also stays contained.
+        m.set_process_controllers(pid, ControllerMask::first(1));
         m.set_cluster_map(Some(map));
         m.set_process_slices(pid, &[SliceId(0), SliceId(1)]);
         for p in 0..4u64 {
@@ -2228,11 +2062,9 @@ mod tests {
         assert_eq!(trace.iter().collect::<Vec<_>>(), vec![a, b]);
         m.latency_trace_mut().unwrap().clear();
         let c = m.access(NodeId(0), pid, 0x2000, false);
-        assert_eq!(m.latency_trace().unwrap().iter().collect::<Vec<_>>(), vec![c]);
-        let detached = m.disable_latency_trace().expect("trace detached");
-        assert_eq!(detached.recorded(), 3, "lifetime count survives the window clear");
-        m.access(NodeId(0), pid, 0x2000, false);
-        assert!(m.latency_trace().is_none());
+        let trace = m.latency_trace().unwrap();
+        assert_eq!(trace.iter().collect::<Vec<_>>(), vec![c]);
+        assert_eq!(trace.recorded(), 3, "lifetime count survives the window clear");
     }
 
     #[test]

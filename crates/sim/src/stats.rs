@@ -40,6 +40,34 @@ impl ProcessStats {
     pub fn reset(&mut self) {
         *self = ProcessStats::default();
     }
+
+    /// Attributes `refs` references to one page, `cycles` in total: only the
+    /// first can miss the TLB, each L1 miss is one L2 access, and `dram` of
+    /// those missed the L2 too.
+    pub(crate) fn record_refs(
+        &mut self,
+        refs: u64,
+        tlb_hit: bool,
+        l1_misses: u64,
+        dram: u64,
+        cycles: u64,
+    ) {
+        let tlb_misses = u64::from(!tlb_hit);
+        self.tlb.accesses += refs;
+        self.tlb.hits += refs - tlb_misses;
+        self.tlb.misses += tlb_misses;
+        self.l1.accesses += refs;
+        self.l1.hits += refs - l1_misses;
+        self.memory_cycles += cycles;
+        // Every scalar L1 hit lands here: it skips the five miss counters.
+        if l1_misses > 0 {
+            self.l1.misses += l1_misses;
+            self.l2.accesses += l1_misses;
+            self.l2.hits += l1_misses - dram;
+            self.l2.misses += dram;
+            self.dram_accesses += dram;
+        }
+    }
 }
 
 /// Machine-wide statistics snapshot.

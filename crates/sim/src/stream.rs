@@ -118,6 +118,9 @@ impl RefRun {
             let s = rest.stride as i64;
             let k = if s == 0 {
                 rest.len
+            } else if s.unsigned_abs() >= granule_bytes {
+                // Every reference lands in a window of its own.
+                1
             } else {
                 // Bytes of headroom from `base` to the window edge in the
                 // direction of travel, then how many strides fit in it.

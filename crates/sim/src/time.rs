@@ -28,11 +28,6 @@ impl Clock {
         cycles as f64 / self.ghz
     }
 
-    /// Converts cycles to microseconds.
-    pub fn cycles_to_us(&self, cycles: u64) -> f64 {
-        self.cycles_to_ns(cycles) / 1_000.0
-    }
-
     /// Converts cycles to milliseconds.
     pub fn cycles_to_ms(&self, cycles: u64) -> f64 {
         self.cycles_to_ns(cycles) / 1_000_000.0
@@ -64,7 +59,6 @@ mod tests {
     fn conversions_at_one_ghz() {
         let c = Clock::new(1.0);
         assert_eq!(c.cycles_to_ns(1_000), 1_000.0);
-        assert_eq!(c.cycles_to_us(1_000), 1.0);
         assert_eq!(c.cycles_to_ms(1_000_000), 1.0);
         assert_eq!(c.us_to_cycles(5.0), 5_000);
         assert_eq!(c.ms_to_cycles(15.0), 15_000_000);

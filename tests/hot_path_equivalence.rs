@@ -333,9 +333,14 @@ proptest! {
 /// One step of the differential driver: either a run-encoded reference
 /// burst on some core, or a maintenance operation interleaved between
 /// bursts (the operations the execution architectures perform mid-stream).
+/// A `Run` goes through the batched engine on one machine and through
+/// scalar `Machine::access` on the other; a `Scalar` burst goes through
+/// `Machine::access` on both, so the batched machine mixes both entry
+/// points over one page memo and one set of directory hints.
 #[derive(Debug, Clone)]
 enum MachineOp {
     Run { core: usize, base: u64, stride: u64, len: u32, write: bool },
+    Scalar { core: usize, base: u64, stride: u64, len: u32, write: bool },
     PurgeCore(usize),
     PurgeSlices(usize),
     PurgeAll,
@@ -359,7 +364,7 @@ fn decode_op(word: u64) -> MachineOp {
         [0, 8, 24, 64, 96, 160, 2048, 4096, 12288, 0u64.wrapping_sub(64), 0u64.wrapping_sub(4096)];
     // Low bits pick the op class; runs are ~8x as likely as each
     // maintenance op.
-    match word % 15 {
+    match word % 16 {
         0 => MachineOp::PurgeCore((word >> 8) as usize % 4),
         1 => MachineOp::PurgeSlices((word >> 8) as usize % 4),
         2 => MachineOp::PurgeNetwork,
@@ -371,6 +376,14 @@ fn decode_op(word: u64) -> MachineOp {
         5 => MachineOp::PurgeAll,
         // Tight sharing: a two-page window all four cores keep re-touching.
         6 | 7 => MachineOp::Run {
+            core: (word >> 4) as usize % 4,
+            base: 0x20_0000 + ((word >> 8) % 0x2000),
+            stride: STRIDES[(word >> 24) as usize % STRIDES.len()],
+            len: 1 + ((word >> 32) % 48) as u32,
+            write: (word >> 40).is_multiple_of(2),
+        },
+        // Scalar accesses into the same window, between batched runs.
+        15 => MachineOp::Scalar {
             core: (word >> 4) as usize % 4,
             base: 0x20_0000 + ((word >> 8) % 0x2000),
             stride: STRIDES[(word >> 24) as usize % STRIDES.len()],
@@ -392,12 +405,12 @@ fn decode_op(word: u64) -> MachineOp {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `Machine::access_run` is byte-identical to issuing the decoded
-    /// references through scalar `Machine::access`: per-run latency sums,
-    /// per-access latency-trace samples, every machine counter and every
-    /// per-process counter, across random run-encoded streams with
-    /// purge/invalidate interleavings (incl. page straddles, stride 0 and
-    /// descending runs).
+    /// `Machine::access_run`, alone or mixed with scalar calls on the same
+    /// machine, is byte-identical to issuing the decoded references through
+    /// scalar `Machine::access`: per-run latency sums, per-access
+    /// latency-trace samples, every machine counter and every per-process
+    /// counter, across random run-encoded streams with purge/invalidate
+    /// interleavings (incl. page straddles, stride 0 and descending runs).
     #[test]
     fn batched_engine_matches_scalar_reference(words in prop::collection::vec(any::<u64>(), 1..60)) {
         let ops: Vec<MachineOp> = words.iter().map(|w| decode_op(*w)).collect();
@@ -417,6 +430,16 @@ proptest! {
                         want += scalar.access(NodeId(*core), pid_s, r.vaddr, r.write);
                     }
                     prop_assert_eq!(got, want, "op #{i}: {:?}", op);
+                    prop_assert_eq!(batched.last_path(), scalar.last_path(), "op #{i}");
+                }
+                MachineOp::Scalar { core, base, stride, len, write } => {
+                    for r in RefRun::new(*base, *stride, *len, *write).iter() {
+                        prop_assert_eq!(
+                            batched.access(NodeId(*core), pid_b, r.vaddr, r.write),
+                            scalar.access(NodeId(*core), pid_s, r.vaddr, r.write),
+                            "op #{i}: {:?}", op
+                        );
+                    }
                     prop_assert_eq!(batched.last_path(), scalar.last_path(), "op #{i}");
                 }
                 MachineOp::PurgeCore(c) => {
@@ -524,6 +547,39 @@ fn private_page_fast_path_fires_and_stays_byte_identical() {
     let slow: u64 = (0..4).map(|s| scalar.directory(SliceId(s)).fast_hits()).sum();
     assert_eq!(slow, 0, "the scalar reference must stay unmemoised");
     assert_eq!(format!("{:?}", batched.stats()), format!("{:?}", scalar.stats()));
+}
+
+/// A scalar access between two batched runs on one page must neither read
+/// nor write the batched engine's page memo: core 0 reads half of one page
+/// through `access_run`, misses on a page of another home through
+/// `Machine::access`, then writes the page's other half through
+/// `access_run` again, which keeps the memo bound to the first page. The
+/// machine must match one that issues every reference through
+/// `Machine::access`.
+#[test]
+fn scalar_calls_leave_the_batched_page_memo_alone() {
+    let mut mixed = Machine::new(MachineConfig::small_test());
+    let mut scalar = Machine::new(MachineConfig::small_test());
+    let pid_m = mixed.create_process("p", SecurityClass::Secure);
+    let pid_s = scalar.create_process("p", SecurityClass::Secure);
+    let runs = [
+        RefRun::new(0x40_0000, 64, 32, false),
+        RefRun::new(0x40_1000, 64, 1, false),
+        RefRun::new(0x40_0800, 64, 32, true),
+    ];
+    for (i, run) in runs.into_iter().enumerate() {
+        let got = if i == 1 {
+            mixed.access(NodeId(0), pid_m, run.base, run.write)
+        } else {
+            mixed.access_run(NodeId(0), pid_m, run)
+        };
+        let want: u64 = run.iter().map(|r| scalar.access(NodeId(0), pid_s, r.vaddr, r.write)).sum();
+        assert_eq!(got, want, "run #{i} diverged");
+        // The path names the home slice, which latencies alone may not show
+        // on a 2×2 mesh.
+        assert_eq!(mixed.last_path(), scalar.last_path(), "run #{i} diverged");
+    }
+    assert_eq!(format!("{:?}", mixed.stats()), format!("{:?}", scalar.stats()));
 }
 
 /// Stale resolved routes, memoised page homes and directory slot hints
